@@ -198,7 +198,8 @@ def boundary_matrix(cx: FlagComplex, d: int) -> SparseBitMatrix:
     """GF(2) boundary matrix from d-simplices to their (d - 1)-faces.
 
     Rows are indexed by the lexicographic position of each (d - 1)-simplex,
-    columns by the position of each d-simplex.
+    columns by the position of each d-simplex.  ``betti_gf2`` does not build
+    it; the tests use it as the homology-direction reference.
     """
     if not 1 <= d <= cx.top_dim:
         raise ValueError(f"dimension {d} outside enumerated range 1..{cx.top_dim}")

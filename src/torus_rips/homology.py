@@ -1,10 +1,13 @@
 """Betti numbers over GF(2) and exact integer homology via Smith normal form.
 
-The GF(2) path is sparse column reduction with a pivot map and the standard
-clearing optimization.  The integer path runs a fraction-free sparse
-elimination on unit pivots first and finishes any leftover core with a dense
-Smith normal form; all arithmetic is exact arbitrary-precision integers, so
-overflow cannot occur and torsion is read off the invariant factors.
+The GF(2) path reduces coboundary matrices from dimension 0 upward with a
+pivot map and clearing.  Simplices are keyed by the bitmask of their vertices,
+and each coboundary column is generated on demand from the graph's adjacency
+bitmasks, so no boundary matrix or face index is built.  The integer path
+runs a fraction-free sparse elimination on unit pivots first and finishes any
+leftover core with a dense Smith normal form; all arithmetic is exact
+arbitrary-precision integers, so overflow cannot occur and torsion is read off
+the invariant factors.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .complexes import FlagComplex, boundary_matrix
+# boundary_matrix is not used here; the benchmark tracer patches
+# torus_rips.homology.boundary_matrix and needs the name to exist.
+from .complexes import FlagComplex, boundary_matrix, euler_characteristic  # noqa: F401
 from .errors import BudgetError, TruncatedComplexError
 
 DEFAULT_SNF_COLUMN_BUDGET = 200_000
@@ -48,34 +53,78 @@ class BettiProfile:
 
 
 def gf2_rank(
-    columns: Sequence[Sequence[int]],
-    skip: frozenset[int] = frozenset(),
+    columns: Iterable[Iterable[int]],
+    skip: AbstractSet[int] = frozenset(),
     deadline: float | None = None,
 ) -> tuple[int, frozenset[int]]:
     """Rank of a GF(2) matrix given as sparse columns, plus its pivot rows.
 
     Standard left-to-right reduction: each column is XOR-reduced against the
-    recorded pivot columns until it gains a fresh pivot row or vanishes.
-    Columns whose index is in ``skip`` are known in advance to reduce to zero
-    (the clearing optimization) and are not touched.
+    recorded pivot columns until it gains a fresh pivot row (its largest row
+    index) or vanishes.  Columns whose index is in ``skip`` are known in
+    advance to reduce to zero (the clearing optimization) and are not
+    touched.  ``columns`` may be a lazy sequence; the deadline is checked
+    every 4096 columns, cleared ones included, as they are drawn from it.
     """
-    pivots: dict[int, set[int]] = {}
+    pivots: dict[int, tuple[int, ...]] = {}
     rank = 0
     for j, col in enumerate(columns):
-        if j in skip:
-            continue
         if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during GF(2) reduction at column {j}")
+        if j in skip:
+            continue
         cur = set(col)
         while cur:
             low = max(cur)
             other = pivots.get(low)
             if other is None:
-                pivots[low] = cur
+                pivots[low] = tuple(cur)
                 rank += 1
                 break
-            cur ^= other
+            cur.symmetric_difference_update(other)
     return rank, frozenset(pivots)
+
+
+class _Coboundary:
+    """Coboundary columns of the d-simplices, generated one at a time.
+
+    Rows are keyed by the bitmask of a simplex's vertices.  The column of
+    sigma lists the keys of its cofaces sigma + {v}, one for each vertex v
+    adjacent to every vertex of sigma; each is a clique, so it is a
+    (d + 1)-simplex of the complex.  A simplex whose key is in
+    ``cleared_rows`` (a pivot row one dimension below) yields an empty
+    column, and its index is added to ``cleared`` as it is drawn, so
+    ``gf2_rank`` skips it and the caller can count it.
+    """
+
+    def __init__(self, cx: FlagComplex, d: int, cleared_rows: frozenset[int]) -> None:
+        self.simplices = cx.simplices[d]
+        self.masks = cx.graph.masks
+        self.cleared_rows = cleared_rows
+        self.cleared: set[int] = set()
+
+    def __len__(self) -> int:
+        return len(self.simplices)
+
+    def __iter__(self) -> Iterator[list[int]]:
+        masks, cleared_rows, cleared = self.masks, self.cleared_rows, self.cleared
+        for j, sigma in enumerate(self.simplices):
+            key = 0
+            for v in sigma:
+                key |= 1 << v
+            if key in cleared_rows:
+                cleared.add(j)
+                yield []
+                continue
+            common = -1
+            for v in sigma:
+                common &= masks[v]
+            column = []
+            while common:
+                low = common & -common
+                column.append(key | low)
+                common ^= low
+            yield column
 
 
 def _require_depth(cx: FlagComplex, need: int, what: str) -> None:
@@ -89,11 +138,7 @@ def _require_depth(cx: FlagComplex, need: int, what: str) -> None:
 def _profile_bounds(cx: FlagComplex, max_dim: int) -> tuple[int, int | None, int | None]:
     """Top boundary dimension to reduce, euler value, and truncation marker."""
     top = min(max_dim + 1, cx.top_dim)
-    euler = (
-        sum(c if d % 2 == 0 else -c for d, c in enumerate(cx.counts))
-        if cx.complete
-        else None
-    )
+    euler = euler_characteristic(cx) if cx.complete else None
     truncated_at = None if (cx.complete and max_dim >= cx.top_dim) else max_dim
     return top, euler, truncated_at
 
@@ -105,8 +150,13 @@ def betti_gf2(
 
     Requires the complex to be enumerated through max_betti_dim + 1 (or to be
     complete), because betti[d] subtracts the rank of the boundary one
-    dimension up.  Boundary matrices are reduced from the top dimension down
-    so each reduction can clear the columns named by the pivots above it.
+    dimension up.  Over a field the rank of the boundary d+1 -> d equals the
+    rank of the coboundary d -> d+1, so the coboundaries are reduced instead,
+    from dimension 0 upward, with every simplex keyed by the bitmask of its
+    vertices and the largest key as pivot.  A (d + 1)-simplex that is a pivot
+    row of the coboundary of dimension d has a column that reduces to zero
+    one dimension up, so it is cleared without being built (de Silva, Morozov
+    & Vejdemo-Johansson 2011; Bauer, Ripser 2021).
     """
     if max_betti_dim < 0:
         raise ValueError(f"max_betti_dim must be nonnegative, got {max_betti_dim}")
@@ -114,10 +164,10 @@ def betti_gf2(
     top, euler, truncated_at = _profile_bounds(cx, max_betti_dim)
 
     ranks = [0] * (max_betti_dim + 2)
-    skip: frozenset[int] = frozenset()
-    for d in range(top, 0, -1):
-        ranks[d], pivot_rows = gf2_rank(boundary_matrix(cx, d).columns, skip, deadline)
-        skip = pivot_rows
+    pivot_rows: frozenset[int] = frozenset()
+    for d in range(top):
+        columns = _Coboundary(cx, d, pivot_rows)
+        ranks[d + 1], pivot_rows = gf2_rank(columns, columns.cleared, deadline)
 
     betti = tuple(
         cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_betti_dim + 1)
@@ -136,7 +186,7 @@ def signed_boundary_columns(cx: FlagComplex, d: int) -> list[dict[int, int]]:
 
     The boundary of an ascending simplex drops one vertex at a time, the face
     dropping position i weighted (-1)^i.  Row indices follow the lexicographic
-    order of the (d - 1)-simplices, matching the GF(2) matrices.
+    order of the (d - 1)-simplices, matching ``boundary_matrix``.
     """
     if not 1 <= d <= cx.top_dim:
         raise ValueError(f"dimension {d} outside enumerated range 1..{cx.top_dim}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -157,14 +157,7 @@ def certify_torus(
                 raise ValueError(
                     f"no expected regime for torus n={n}, k={k}; pass an explicit max_dim"
                 )
-            config = RunConfig(
-                coefficients=config.coefficients,
-                max_dim=max_dim,
-                simplex_budget=config.simplex_budget,
-                snf_column_budget=config.snf_column_budget,
-                time_budget_secs=config.time_budget_secs,
-                threads=config.threads,
-            )
+            config = replace(config, max_dim=max_dim)
         profile, _ = compute_profile(space, k, config, graph=graph, deadline=deadline)
     fp = fingerprint(profile, antipode, conn, n, k)
     return fp, profile, antipode, conn
@@ -238,14 +231,7 @@ def run_golden_row(row: GoldenRow, config: RunConfig) -> dict:
         return base
     start = time.monotonic()
     space = build_space(row.space, n=row.n)
-    row_config = RunConfig(
-        coefficients=row.coefficients,
-        max_dim=row.max_dim,
-        simplex_budget=config.simplex_budget,
-        snf_column_budget=config.snf_column_budget,
-        time_budget_secs=config.time_budget_secs,
-        threads=config.threads,
-    )
+    row_config = replace(config, coefficients=row.coefficients, max_dim=row.max_dim)
     try:
         profile, _ = compute_profile(space, row.k, row_config)
     except BudgetError as exc:

@@ -57,6 +57,48 @@ def component_count(graph):
     return len({find(v) for v in range(graph.vertex_count)})
 
 
+def homology_direction_betti(cx, max_dim):
+    """GF(2) Betti numbers from dense numpy ranks of the boundary matrices."""
+    ranks = [0] * (max_dim + 2)
+    for d in range(1, min(max_dim + 1, cx.top_dim) + 1):
+        mat = tr.boundary_matrix(cx, d)
+        ranks[d] = dense_gf2_rank(mat.n_rows, mat.columns)
+    return tuple(cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+
+
+@st.composite
+def random_graph_complexes(draw):
+    """A complete complex of a random graph on at most 8 vertices, all dimensions."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    cx = tr.enumerate_simplices(tr.Graph.from_edges(n, edges), n - 1)
+    return cx, cx.top_dim
+
+
+@st.composite
+def relabelled_torus_complexes(draw):
+    """A small torus complex whose vertices are renamed by a seeded permutation."""
+    n, k = draw(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    graph = tr.vr_graph(tr.torus_space(n), k)
+    perm = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(graph.vertex_count) for v in graph.neighbors[u]
+             if u < v]
+    cx = tr.enumerate_simplices(tr.Graph.from_edges(graph.vertex_count, edges), 8)
+    return cx, cx.top_dim
+
+
+@st.composite
+def truncated_complexes(draw):
+    """A complex cut off below its top, reported below its last enumerated dimension."""
+    n, k = draw(st.sampled_from([(4, 2), (5, 2), (6, 2), (7, 2)]))
+    depth = draw(st.integers(min_value=1, max_value=3))
+    cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(n), k), depth)
+    return cx, draw(st.integers(min_value=0, max_value=cx.top_dim - 1))
+
+
 class TestGf2Rank:
     def test_examples(self):
         assert tr.gf2_rank([(0,), (1,), (2,)])[0] == 3
@@ -98,6 +140,9 @@ class TestGf2Rank:
         cols = [(i,) for i in range(10)]
         with pytest.raises(BudgetError):
             tr.gf2_rank(cols, deadline=time.monotonic() - 1.0)
+        # The check also runs over cleared columns.
+        with pytest.raises(BudgetError):
+            tr.gf2_rank(cols, skip=frozenset(range(10)), deadline=time.monotonic() - 1.0)
 
 
 class TestBettiGf2:
@@ -167,15 +212,43 @@ class TestBettiGf2:
             cx = tr.enumerate_simplices(graph, n - 1)
             assert cx.complete
             profile = tr.betti_gf2(cx, cx.top_dim)
-            ranks = [0] * (cx.top_dim + 2)
-            for d in range(1, cx.top_dim + 1):
-                mat = tr.boundary_matrix(cx, d)
-                ranks[d] = dense_gf2_rank(mat.n_rows, mat.columns)
-            expect = tuple(
-                cx.counts[d] - ranks[d] - ranks[d + 1] for d in range(cx.top_dim + 1)
-            )
-            assert profile.betti == expect
+            assert profile.betti == homology_direction_betti(cx, cx.top_dim)
             assert profile.betti[0] == component_count(graph)
+
+    @given(
+        st.one_of(random_graph_complexes(), relabelled_torus_complexes(), truncated_complexes())
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_cohomology_matches_homology_direction(self, case):
+        cx, max_dim = case
+        assert tr.betti_gf2(cx, max_dim).betti == homology_direction_betti(cx, max_dim)
+
+    def test_deadline_already_passed(self):
+        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
+        with pytest.raises(BudgetError):
+            tr.betti_gf2(cx, 2, deadline=time.monotonic() - 1.0)
+        config = tr.RunConfig(max_dim=2, time_budget_secs=0.0)
+        with pytest.raises(BudgetError):
+            tr.compute_profile(tr.torus_space(5), 2, config)
+
+    def test_deadline_checked_within_a_dimension(self, monkeypatch):
+        # A clock that ticks once per reading: the run must stop partway
+        # through the columns of one dimension, not only between dimensions.
+        class Clock:
+            ticks = 0
+
+            def monotonic(self):
+                Clock.ticks += 1
+                return Clock.ticks
+
+        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(7), 3), 4)
+        assert cx.counts[3] > 4096
+        monkeypatch.setattr(tr.homology, "time", Clock())
+        tr.betti_gf2(cx, 3, deadline=float("inf"))
+        readings = Clock.ticks
+        Clock.ticks = 0
+        with pytest.raises(BudgetError, match=r"at column [1-9]"):
+            tr.betti_gf2(cx, 3, deadline=readings - 0.5)
 
     def test_component_count_on_torus_scales(self):
         for n, k in [(4, 0), (6, 1), (5, 2)]:
