@@ -96,7 +96,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         simplex_budget=budget if budget > 0 else None,
         snf_column_budget=args.snf_budget,
         time_budget_secs=time_budget,
-        threads=args.threads,
     )
 
 
@@ -104,7 +103,6 @@ def _config_payload(config: RunConfig, fmt: str) -> dict:
     return {
         "simplex_budget": config.simplex_budget,
         "snf_column_budget": config.snf_column_budget,
-        "threads": config.threads,
         "format": fmt,
     }
 
@@ -314,12 +312,9 @@ def _add_common(parser: argparse.ArgumentParser, *, coefficients: bool = True) -
                         help="simplex budget (0 disables; default from SIMPLEX_BUDGET or "
                              f"{DEFAULT_SIMPLEX_BUDGET})")
     parser.add_argument("--snf-budget", type=int, default=DEFAULT_SNF_COLUMN_BUDGET,
-                        help="column cap per integer boundary matrix")
+                        help="per-dimension simplex-count cap for integer homology")
     parser.add_argument("--time-budget", type=float, default=None,
                         help="wall-clock budget in seconds (default from TIME_BUDGET_SECS)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker pool size; all algorithms are deterministic "
-                             "regardless of the value")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit wall_time_ms so output is byte-identical across runs")
     if coefficients:

@@ -19,6 +19,9 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
+# Parents extended between two readings of the deadline clock.
+_DEADLINE_CHUNK = 4096
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield set-bit positions of a nonnegative int in ascending order."""
@@ -122,6 +125,8 @@ def enumerate_simplices(
     the vertices beyond its last member that are adjacent to all of it, which
     the bitmask form reduces to one AND per extension.  Output order within a
     dimension is lexicographic, and the whole enumeration is deterministic.
+    Those extension bitmasks give the exact size of the next dimension, so
+    the budget refuses it before any of it is built.
 
     Args:
         graph: the graph whose clique complex is wanted.
@@ -129,7 +134,8 @@ def enumerate_simplices(
         budget: global cap on the number of simplices across all dimensions.
             Exceeding it raises SimplexBudgetError naming the dimension
             reached; pass None to disable.
-        deadline: optional time.monotonic() cutoff checked between dimensions.
+        deadline: optional time.monotonic() cutoff, checked before every
+            4096 simplices are extended.
 
     Returns:
         A FlagComplex; its ``complete`` flag is True iff the complex has no
@@ -149,26 +155,29 @@ def enumerate_simplices(
 
     complete = False
     for d in range(1, max_dim + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+        size = sum(map(int.bit_count, cands))
+        if not size:
+            complete = True
+            break
+        total += size
+        if budget is not None and total > budget:
+            raise SimplexBudgetError(budget, d)
         next_layer: list[Simplex] = []
         next_cands: list[int] = []
         append_s = next_layer.append
         append_c = next_cands.append
-        for sigma, cand in zip(layer, cands):
-            m = cand
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                append_s(sigma + (v,))
-                append_c(cand & masks[v] & -(low << 1))
-        if not next_layer:
-            complete = True
-            break
-        total += len(next_layer)
-        if budget is not None and total > budget:
-            raise SimplexBudgetError(budget, d)
+        for start in range(0, len(layer), _DEADLINE_CHUNK):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+            stop = start + _DEADLINE_CHUNK
+            for sigma, cand in zip(layer[start:stop], cands[start:stop]):
+                m = cand
+                while m:
+                    low = m & -m
+                    v = low.bit_length() - 1
+                    m ^= low
+                    append_s(sigma + (v,))
+                    append_c(cand & masks[v] & -(low << 1))
         layers.append(tuple(next_layer))
         layer = next_layer
         cands = next_cands

@@ -1,13 +1,14 @@
-"""Betti numbers over GF(2) and exact integer homology via Smith normal form.
+"""Betti numbers over GF(2) and exact integer homology with torsion.
 
-The GF(2) path reduces coboundary matrices from dimension 0 upward with a
-pivot map and clearing.  Simplices are keyed by the bitmask of their vertices,
-and each coboundary column is generated on demand from the graph's adjacency
+Both paths reduce coboundary matrices from dimension 0 upward with a pivot
+map and clearing.  Simplices are keyed by the bitmask of their vertices, and
+each coboundary column is generated on demand from the graph's adjacency
 bitmasks, so no boundary matrix or face index is built.  The integer path
-runs a fraction-free sparse elimination on unit pivots first and finishes any
-leftover core with a dense Smith normal form; all arithmetic is exact
-arbitrary-precision integers, so overflow cannot occur and torsion is read off
-the invariant factors.
+reduces signed columns by exact column operations on unit pivots; a
+dimension that meets a pivot other than +/-1 goes to a sparse Smith normal
+form, which eliminates on unit entries first and finishes any leftover core
+densely.  All arithmetic is exact arbitrary-precision integers, so overflow
+cannot occur and torsion is read off the invariant factors.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def signed_boundary_columns(cx: FlagComplex, d: int) -> list[dict[int, int]]:
     The boundary of an ascending simplex drops one vertex at a time, the face
     dropping position i weighted (-1)^i.  Row indices follow the lexicographic
     order of the (d - 1)-simplices, matching ``boundary_matrix``.
+    ``homology_integer`` does not build it; the tests use it with
+    ``smith_invariants`` as the homology-direction reference.
     """
     if not 1 <= d <= cx.top_dim:
         raise ValueError(f"dimension {d} outside enumerated range 1..{cx.top_dim}")
@@ -378,6 +381,114 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
     return sorted(chain)
 
 
+def _keys_and_cofaces(cx: FlagComplex, d: int) -> Iterator[tuple[int, int]]:
+    """(key, common) for each d-simplex, in order.
+
+    key is the bitmask of the simplex's vertices; common has a bit for each
+    vertex adjacent to all of them, so each coface is key | (1 << v) for a
+    bit v of common.
+    """
+    masks = cx.graph.masks
+    for sigma in cx.simplices[d]:
+        key = 0
+        common = -1
+        for v in sigma:
+            key |= 1 << v
+            common &= masks[v]
+        yield key, common
+
+
+def _signed_column(key: int, common: int) -> dict[int, int]:
+    """Integer coboundary column of the simplex with vertex bitmask key.
+
+    The coface key + v enters with sign (-1)^i, where i is the number of
+    vertices of the simplex below v: the position at which the boundary of
+    the coface drops v, as in ``signed_boundary_columns``.
+    """
+    column = {}
+    while common:
+        low = common & -common
+        column[key | low] = -1 if (key & (low - 1)).bit_count() & 1 else 1
+        common ^= low
+    return column
+
+
+def _coboundary_invariants(
+    cx: FlagComplex, d: int, cleared_rows: frozenset[int], deadline: float | None
+) -> tuple[int, tuple[int, ...], frozenset[int]]:
+    """Rank and invariant factors > 1 of the coboundary of dimension d.
+
+    Reduces the signed coboundary columns left to right by exact integer
+    column operations against a pivot map keyed by the largest row key,
+    skipping the columns of simplices in ``cleared_rows``.  A column whose
+    low entry is +/-1 becomes the pivot of that row, scaled so the entry is
+    +1.  An unreduced column's low entry is always a unit, so a column whose
+    low row is still free is recorded as (key, common) and only built when a
+    later column reduces against it.  The deadline is checked every 4096
+    columns, cleared ones included.
+
+    When every low entry is a unit, the reduced matrix has a square submatrix
+    that is triangular with unit diagonal, so the rank is the pivot count and
+    every invariant factor is 1.  The first low entry that is not a unit
+    hands the uncleared columns, row keys renumbered, to ``smith_invariants``.
+
+    Also returns the unit pivot rows, which clear the coboundary one
+    dimension up.
+    """
+    pivots: dict[int, tuple[int, int] | dict[int, int]] = {}
+    for j, (key, common) in enumerate(_keys_and_cofaces(cx, d)):
+        if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
+            raise BudgetError(f"time budget exceeded during integer reduction at column {j}")
+        if not common or key in cleared_rows:
+            continue
+        low = key | (1 << (common.bit_length() - 1))
+        if low not in pivots:
+            pivots[low] = (key, common)
+            continue
+        col = _signed_column(key, common)
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                break
+            if isinstance(other, tuple):
+                other = pivots[low] = _signed_column(*other)
+                if other[low] == -1:
+                    for r in other:
+                        other[r] = -other[r]
+            a = col[low]
+            for r, v in other.items():
+                nv = col.get(r, 0) - a * v
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+        if not col:
+            continue
+        a = col[low]
+        if a == -1:
+            for r in col:
+                col[r] = -col[r]
+        elif a != 1:
+            rank, factors = _coboundary_smith(cx, d, cleared_rows, deadline)
+            return rank, factors, frozenset(pivots)
+        pivots[low] = col
+    return len(pivots), (), frozenset(pivots)
+
+
+def _coboundary_smith(
+    cx: FlagComplex, d: int, cleared_rows: frozenset[int], deadline: float | None
+) -> tuple[int, tuple[int, ...]]:
+    """``smith_invariants`` of the uncleared coboundary columns of dimension d."""
+    row_index = {key: i for i, (key, _) in enumerate(_keys_and_cofaces(cx, d + 1))}
+    columns = [
+        {row_index[r]: v for r, v in _signed_column(key, common).items()}
+        for key, common in _keys_and_cofaces(cx, d)
+        if key not in cleared_rows
+    ]
+    return smith_invariants(cx.counts[d + 1], columns, deadline)
+
+
 def homology_integer(
     cx: FlagComplex,
     max_dim: int,
@@ -387,33 +498,46 @@ def homology_integer(
     """Integer homology of a flag complex through dimension max_dim.
 
     betti[d] is the free rank of H_d and torsion[d] its invariant factors
-    greater than 1, read from the Smith normal form of the boundary one
-    dimension up.  Needs enumeration through max_dim + 1 like the GF(2) path.
+    greater than 1.  Both come from the boundary one dimension up, whose
+    transpose, the coboundary of dimension d, has the same rank and the same
+    invariant factors.  The coboundaries are reduced from dimension 0 upward
+    like ``betti_gf2`` does, by exact integer column operations on unit
+    pivots.  Each unit pivot pair is an elementary reduction of the chain
+    complex (Kaczynski, Mrozek & Slusarek 1998), so the (d + 1)-simplices
+    that are unit pivot rows of dimension d are cleared one dimension up
+    without changing the rank or any invariant factor.  A dimension whose
+    reduction meets a low entry other than +/-1 is handed whole to
+    ``smith_invariants``.  Needs enumeration through max_dim + 1 like the
+    GF(2) path.
 
     Args:
         cx: the enumerated complex.
         max_dim: top homology dimension to report.
-        column_budget: per-matrix cap on boundary columns fed to the Smith
-            normal form; exceeding it raises BudgetError.  None disables.
+        column_budget: per-dimension cap on the simplex count, checked on
+            dimensions 1 .. max_dim + 1 in ascending order before any
+            reduction; exceeding it raises BudgetError naming the first
+            dimension over it.  None disables.
         deadline: optional time.monotonic() cutoff.
     """
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     _require_depth(cx, max_dim + 1, "homology_integer")
     top, euler, truncated_at = _profile_bounds(cx, max_dim)
+    if column_budget is not None:
+        for d in range(1, top + 1):
+            if cx.counts[d] > column_budget:
+                raise BudgetError(
+                    f"boundary matrix at dimension {d} has {cx.counts[d]} columns, "
+                    f"over the Smith normal form budget of {column_budget}"
+                )
 
     ranks = [0] * (max_dim + 2)
     torsion: list[tuple[int, ...]] = [() for _ in range(max_dim + 1)]
-    for d in range(1, top + 1):
-        cols = signed_boundary_columns(cx, d)
-        if column_budget is not None and len(cols) > column_budget:
-            raise BudgetError(
-                f"boundary matrix at dimension {d} has {len(cols)} columns, "
-                f"over the Smith normal form budget of {column_budget}"
-            )
-        ranks[d], factors = smith_invariants(cx.counts[d - 1], cols, deadline)
-        if d - 1 <= max_dim:
-            torsion[d - 1] = factors
+    pivot_rows: frozenset[int] = frozenset()
+    for d in range(top):
+        ranks[d + 1], torsion[d], pivot_rows = _coboundary_invariants(
+            cx, d, pivot_rows, deadline
+        )
 
     betti = tuple(cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
     return BettiProfile(

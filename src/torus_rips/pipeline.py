@@ -43,7 +43,6 @@ class RunConfig:
     simplex_budget: Optional[int] = DEFAULT_SIMPLEX_BUDGET
     snf_column_budget: Optional[int] = DEFAULT_SNF_COLUMN_BUDGET
     time_budget_secs: Optional[float] = None
-    threads: int = 1
 
     def deadline(self) -> Optional[float]:
         if self.time_budget_secs is None:

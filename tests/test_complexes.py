@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -167,6 +168,64 @@ class TestEnumerateSimplices:
         graph = tr.vr_graph(tr.torus_space(5), 2)
         with pytest.raises(BudgetError):
             tr.enumerate_simplices(graph, 4, deadline=time.monotonic() - 1.0)
+
+    def test_simplex_budget_is_exact(self):
+        graph = tr.vr_graph(tr.torus_space(6), 2)
+        counts = tr.enumerate_simplices(graph, 3).counts
+        for d in range(1, 4):
+            through = sum(counts[: d + 1])
+            assert tr.enumerate_simplices(graph, d, budget=through).counts == counts[: d + 1]
+            with pytest.raises(SimplexBudgetError) as info:
+                tr.enumerate_simplices(graph, d, budget=through - 1)
+            assert info.value.dim == d
+            assert str(info.value) == (
+                f"simplex budget of {through - 1} exceeded while enumerating dimension {d}"
+            )
+
+    def test_simplex_budget_refuses_before_building(self):
+        # K_24 through dimension 3 holds 12,950 simplices; dimension 4 would
+        # add 42,504.  A budget of 12,950 must stop without building them.
+        graph = tr.Graph.from_edges(24, itertools.combinations(range(24), 2))
+        budget = sum(math.comb(24, r) for r in range(1, 5))
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                tr.enumerate_simplices(graph, **kwargs)
+            except SimplexBudgetError:
+                pass
+            finally:
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            return peak_bytes
+
+        kept = peak(max_dim=3)
+        built = peak(max_dim=4)
+        refused = peak(max_dim=4, budget=budget)
+        assert built > 3 * kept
+        assert refused < 1.5 * kept
+
+    def test_deadline_checked_within_a_dimension(self, monkeypatch):
+        # A clock that ticks once per reading: the run must stop partway
+        # through the parents of one dimension, not only between dimensions.
+        class Clock:
+            ticks = 0
+
+            def monotonic(self):
+                Clock.ticks += 1
+                return Clock.ticks
+
+        graph = tr.vr_graph(tr.torus_space(7), 3)
+        assert tr.enumerate_simplices(graph, 4).counts[4] > 4096
+        monkeypatch.setattr(tr.complexes, "time", Clock())
+        tr.enumerate_simplices(graph, 5, deadline=float("inf"))
+        readings = Clock.ticks
+        # More readings than dimensions: some dimension was checked twice.
+        assert readings > 5
+        for late in (0.5, 1.5):
+            Clock.ticks = 0
+            with pytest.raises(BudgetError, match="enumerating dimension 5"):
+                tr.enumerate_simplices(graph, 5, deadline=readings - late)
 
     def test_rejects_negative_max_dim(self):
         with pytest.raises(ValueError):

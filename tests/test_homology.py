@@ -66,6 +66,38 @@ def homology_direction_betti(cx, max_dim):
     return tuple(cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
 
+def homology_direction_integer(cx, max_dim):
+    """Integer Betti numbers and torsion from the Smith normal form of the boundaries."""
+    ranks = [0] * (max_dim + 2)
+    torsion = [()] * (max_dim + 1)
+    for d in range(1, min(max_dim + 1, cx.top_dim) + 1):
+        ranks[d], torsion[d - 1] = smith_invariants(
+            cx.counts[d - 1], signed_boundary_columns(cx, d)
+        )
+    betti = tuple(cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+    return betti, tuple(torsion)
+
+
+def projective_plane_subdivision():
+    """Barycentric subdivision of the six-vertex real projective plane, as a graph.
+
+    Its vertices are the 31 faces of the triangulation; two are joined when one
+    face contains the other, so the flag complex is the order complex of the
+    face poset, a triangulation of the projective plane.
+    """
+    triangles = [
+        (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
+        (1, 2, 4), (1, 2, 5), (1, 3, 5), (2, 3, 4), (3, 4, 5),
+    ]
+    faces = sorted(
+        {frozenset(f) for t in triangles for r in (1, 2, 3) for f in itertools.combinations(t, r)},
+        key=lambda f: (len(f), sorted(f)),
+    )
+    edges = [(i, j) for i, j in itertools.combinations(range(len(faces)), 2)
+             if faces[i] < faces[j] or faces[j] < faces[i]]
+    return tr.Graph.from_edges(len(faces), edges)
+
+
 @st.composite
 def random_graph_complexes(draw):
     """A complete complex of a random graph on at most 8 vertices, all dimensions."""
@@ -391,6 +423,67 @@ class TestHomologyInteger:
         cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
         with pytest.raises(BudgetError, match="Smith normal form budget"):
             tr.homology_integer(cx, 2, column_budget=10)
+        # The lowest dimension over the cap is named, before any reduction.
+        over = cx.counts[2] - 1
+        assert cx.counts[1] <= over
+        with pytest.raises(BudgetError, match=rf"dimension 2 has {cx.counts[2]} columns"):
+            tr.homology_integer(cx, 2, column_budget=over, deadline=time.monotonic() - 1.0)
+
+    def test_projective_plane_subdivision_torsion(self, monkeypatch):
+        # H_1 = Z/2 has an invariant factor 2, which no reduction on unit
+        # pivots alone can produce: this dimension must reach smith_invariants.
+        graph = projective_plane_subdivision()
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        assert cx.complete and cx.counts == (31, 90, 60)
+        calls = []
+        smith = tr.homology.smith_invariants
+
+        def spy(n_rows, columns, deadline=None):
+            calls.append(len(columns))
+            return smith(n_rows, columns, deadline)
+
+        monkeypatch.setattr(tr.homology, "smith_invariants", spy)
+        profile = tr.homology_integer(cx, 2)
+        assert profile.betti == (1, 0, 0)
+        assert profile.torsion == ((), (2,), ())
+        assert profile.euler == 1
+        assert calls
+        assert (profile.betti, profile.torsion) == homology_direction_integer(cx, 2)
+
+        space = tr.FiniteMetricSpace(
+            point_count=graph.vertex_count,
+            distance=lambda a, b: 0 if a == b else (1 if graph.has_edge(a, b) else 2),
+            label="RP2 subdivision",
+        )
+        config = tr.RunConfig(coefficients="integer")
+        via_pipeline, _ = tr.compute_profile(space, 1, config)
+        assert via_pipeline == profile
+
+    @given(
+        st.one_of(random_graph_complexes(), relabelled_torus_complexes(), truncated_complexes())
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_cohomology_matches_homology_direction(self, case):
+        cx, max_dim = case
+        profile = tr.homology_integer(cx, max_dim)
+        assert (profile.betti, profile.torsion) == homology_direction_integer(cx, max_dim)
+
+    def test_deadline_checked_within_a_dimension(self, monkeypatch):
+        class Clock:
+            ticks = 0
+
+            def monotonic(self):
+                Clock.ticks += 1
+                return Clock.ticks
+
+        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(7), 3), 4)
+        assert cx.counts[3] > 4096
+        monkeypatch.setattr(tr.homology, "time", Clock())
+        tr.homology_integer(cx, 3, deadline=float("inf"))
+        readings = Clock.ticks
+        Clock.ticks = 0
+        with pytest.raises(BudgetError, match=r"integer reduction at column [1-9]"):
+            tr.homology_integer(cx, 3, deadline=readings - 0.5)
 
     def test_requires_one_extra_dimension(self):
         cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 2)
