@@ -99,18 +99,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _config_payload(config: RunConfig, fmt: str) -> dict:
+def _payload(
+    kind: str, start: float, args: argparse.Namespace, config: RunConfig, **fields: object
+) -> dict:
+    """A result payload: kind, version, the fields, elapsed time and config."""
     return {
-        "simplex_budget": config.simplex_budget,
-        "snf_column_budget": config.snf_column_budget,
-        "format": fmt,
+        "kind": kind,
+        "version": __version__,
+        **fields,
+        "wall_time_ms": None if args.no_timing else int((time.monotonic() - start) * 1000),
+        "config": {
+            "simplex_budget": config.simplex_budget,
+            "snf_column_budget": config.snf_column_budget,
+            "format": args.format,
+        },
     }
-
-
-def _elapsed_ms(start: float, args: argparse.Namespace) -> Optional[int]:
-    if args.no_timing:
-        return None
-    return int((time.monotonic() - start) * 1000)
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
@@ -118,28 +121,25 @@ def cmd_betti(args: argparse.Namespace) -> int:
     start = time.monotonic()
     space = build_space(args.space, n=args.n, window=args.window)
     profile, _ = compute_profile(space, args.k, config)
-    max_dim = config.max_dim if config.max_dim is not None else len(profile.betti) - 1
-    payload = {
-        "kind": "betti-result",
-        "version": __version__,
-        "space": space.label,
-        "n": args.n,
-        "k": args.k,
-        "coefficients": profile.coefficients,
-        "max_dim": max_dim,
-        "betti": list(profile.betti),
-        "torsion": [list(t) for t in profile.torsion],
-        "euler": profile.euler,
-        "truncated_at": profile.truncated_at,
-        "wall_time_ms": _elapsed_ms(start, args),
-        "config": _config_payload(config, args.format),
-    }
     if args.format == "csv":
         writer = sys.stdout
         writer.write("n,k,dim,betti,coefficients,source\n")
         for d, b in enumerate(profile.betti):
             writer.write(f"{args.n},{args.k},{d},{b},{profile.coefficients},{space.label}\n")
         return EXIT_OK
+    max_dim = config.max_dim if config.max_dim is not None else len(profile.betti) - 1
+    payload = _payload(
+        "betti-result", start, args, config,
+        space=space.label,
+        n=args.n,
+        k=args.k,
+        coefficients=profile.coefficients,
+        max_dim=max_dim,
+        betti=list(profile.betti),
+        torsion=[list(t) for t in profile.torsion],
+        euler=profile.euler,
+        truncated_at=profile.truncated_at,
+    )
     _emit(payload, sys.stdout)
     return EXIT_OK
 
@@ -181,38 +181,32 @@ def cmd_facets(args: argparse.Namespace) -> int:
         oracle = _facet_oracle(args)
         only_catalog, only_oracle = catalog.symmetric_difference(oracle)
         identical = not only_catalog and not only_oracle
-        payload = {
-            "kind": "facets-compare",
-            "version": __version__,
-            "space": space_label,
-            "n": args.n,
-            "k": args.k,
-            "closed_form_count": len(catalog),
-            "brute_count": len(oracle),
-            "identical": identical,
-            "only_closed_form": [list(s) for s in only_catalog[:20]],
-            "only_brute": [list(s) for s in only_oracle[:20]],
-            "wall_time_ms": _elapsed_ms(start, args),
-            "config": _config_payload(config, args.format),
-        }
+        payload = _payload(
+            "facets-compare", start, args, config,
+            space=space_label,
+            n=args.n,
+            k=args.k,
+            closed_form_count=len(catalog),
+            brute_count=len(oracle),
+            identical=identical,
+            only_closed_form=[list(s) for s in only_catalog[:20]],
+            only_brute=[list(s) for s in only_oracle[:20]],
+        )
         _emit(payload, sys.stdout)
         return EXIT_OK if identical else EXIT_MISMATCH
 
     facet_set = _facet_catalog(args) if args.mode == "closed-form" else _facet_oracle(args)
     facets = sorted(facet_set.facets)
     if args.format == "json":
-        payload = {
-            "kind": "facets-list",
-            "version": __version__,
-            "space": space_label,
-            "n": args.n,
-            "k": args.k,
-            "mode": args.mode,
-            "count": len(facets),
-            "facets": [list(s) for s in facets],
-            "wall_time_ms": _elapsed_ms(start, args),
-            "config": _config_payload(config, args.format),
-        }
+        payload = _payload(
+            "facets-list", start, args, config,
+            space=space_label,
+            n=args.n,
+            k=args.k,
+            mode=args.mode,
+            count=len(facets),
+            facets=[list(s) for s in facets],
+        )
         _emit(payload, sys.stdout)
         return EXIT_OK
     header["dim"] = max((len(s) - 1 for s in facets), default=0)
@@ -239,16 +233,17 @@ def cmd_verify_table(args: argparse.Namespace) -> int:
     skipped = sum(1 for r in results if r["status"] == "SKIPPED")
 
     if args.format == "json":
-        payload = {
-            "kind": "verify-table",
-            "version": __version__,
-            "rows": results,
-            "passed": passed,
-            "failed": failed,
-            "skipped": skipped,
-            "wall_time_ms": _elapsed_ms(start, args),
-            "config": _config_payload(config, args.format),
-        }
+        if args.no_timing:
+            for r in results:
+                if "wall_time_ms" in r:
+                    r["wall_time_ms"] = None
+        payload = _payload(
+            "verify-table", start, args, config,
+            rows=results,
+            passed=passed,
+            failed=failed,
+            skipped=skipped,
+        )
         _emit(payload, sys.stdout)
     else:
         for r in results:
@@ -274,35 +269,32 @@ def cmd_certify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     start = time.monotonic()
     fp, profile, antipode, conn = certify_torus(args.n, args.k, config)
-    payload = {
-        "kind": "certify-result",
-        "version": __version__,
-        "space": f"torus {args.n}",
-        "n": args.n,
-        "k": args.k,
-        "coefficients": config.coefficients,
-        "claim": fp.claim,
-        "level": fp.level,
-        "consistent": fp.consistent,
-        "antipode": {
+    payload = _payload(
+        "certify-result", start, args, config,
+        space=f"torus {args.n}",
+        n=args.n,
+        k=args.k,
+        coefficients=config.coefficients,
+        claim=fp.claim,
+        level=fp.level,
+        consistent=fp.consistent,
+        antipode={
             "is_antipode": antipode.is_antipode,
             "pairs": [list(p) for p in antipode.pairs],
             "cross_polytope_dim": antipode.cross_polytope_dim,
         },
-        "connectivity": {
+        connectivity={
             "scale": conn.scale,
             "method": conn.method,
             "certified_k": conn.certified_k,
             "min_ball": conn.detail.get("min_ball"),
             "points": conn.detail.get("points"),
         },
-        "betti": None if profile is None else list(profile.betti),
-        "torsion": None if profile is None else [list(t) for t in profile.torsion],
-        "euler": None if profile is None else profile.euler,
-        "truncated_at": None if profile is None else profile.truncated_at,
-        "wall_time_ms": _elapsed_ms(start, args),
-        "config": _config_payload(config, args.format),
-    }
+        betti=None if profile is None else list(profile.betti),
+        torsion=None if profile is None else [list(t) for t in profile.torsion],
+        euler=None if profile is None else profile.euler,
+        truncated_at=None if profile is None else profile.truncated_at,
+    )
     _emit(payload, sys.stdout)
     return EXIT_OK if fp.consistent else EXIT_MISMATCH
 

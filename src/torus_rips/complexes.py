@@ -1,4 +1,4 @@
-"""Scale graphs, clique (flag) complexes, and GF(2) boundary matrices.
+"""Scale graphs, clique (flag) complexes, and simplex listings.
 
 The scale-k graph of a finite metric space joins two vertices when their
 distance is positive and at most k; its clique complex is the Vietoris-Rips
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import BudgetError, SimplexBudgetError, TruncatedComplexError
 from .spaces import FiniteMetricSpace
@@ -191,35 +191,6 @@ def enumerate_simplices(
         simplices=tuple(layers),
         counts=tuple(len(ls) for ls in layers),
         complete=complete,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SparseBitMatrix:
-    """GF(2) matrix stored as columns of strictly ascending row indices."""
-
-    n_rows: int
-    n_cols: int
-    columns: tuple[tuple[int, ...], ...]
-
-
-def boundary_matrix(cx: FlagComplex, d: int) -> SparseBitMatrix:
-    """GF(2) boundary matrix from d-simplices to their (d - 1)-faces.
-
-    Rows are indexed by the lexicographic position of each (d - 1)-simplex,
-    columns by the position of each d-simplex.  ``betti_gf2`` does not build
-    it; the tests use it as the homology-direction reference.
-    """
-    if not 1 <= d <= cx.top_dim:
-        raise ValueError(f"dimension {d} outside enumerated range 1..{cx.top_dim}")
-    face_index = {s: i for i, s in enumerate(cx.simplices[d - 1])}
-    columns = []
-    for sigma in cx.simplices[d]:
-        faces = [face_index[sigma[:i] + sigma[i + 1 :]] for i in range(len(sigma))]
-        faces.sort()
-        columns.append(tuple(faces))
-    return SparseBitMatrix(
-        n_rows=cx.counts[d - 1], n_cols=cx.counts[d], columns=tuple(columns)
     )
 
 

@@ -1,14 +1,19 @@
 """Betti numbers over GF(2) and exact integer homology with torsion.
 
-Both paths reduce coboundary matrices from dimension 0 upward with a pivot
-map and clearing.  Simplices are keyed by the bitmask of their vertices, and
-each coboundary column is generated on demand from the graph's adjacency
-bitmasks, so no boundary matrix or face index is built.  The integer path
-reduces signed columns by exact column operations on unit pivots; a
-dimension that meets a pivot other than +/-1 goes to a sparse Smith normal
-form, which eliminates on unit entries first and finishes any leftover core
-densely.  All arithmetic is exact arbitrary-precision integers, so overflow
-cannot occur and torsion is read off the invariant factors.
+One reducer serves both rings, the way Ripser is parameterised by its
+coefficient modulus: the coboundary matrices are reduced from dimension 0
+upward with a pivot map and clearing, entries taken mod 2 over GF(2) and kept
+exact over the integers.  Simplices are keyed by the bitmask of their
+vertices, and each coboundary column is generated on demand from the graph's
+adjacency bitmasks, so no boundary matrix or face index is built.  Over the
+integers a dimension that meets a pivot other than +/-1 goes to a sparse
+Smith normal form, which eliminates on unit entries first and finishes any
+leftover core densely.  All arithmetic is exact arbitrary-precision integers,
+so overflow cannot occur and torsion is read off the invariant factors.
+
+``boundary_matrix``, ``signed_boundary_columns`` and ``gf2_rank`` build and
+reduce boundary matrices in the homology direction; the library does not call
+them, and the tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -19,9 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-# boundary_matrix is not used here; the benchmark tracer patches
-# torus_rips.homology.boundary_matrix and needs the name to exist.
-from .complexes import FlagComplex, boundary_matrix, euler_characteristic  # noqa: F401
+from .complexes import FlagComplex, euler_characteristic
 from .errors import BudgetError, TruncatedComplexError
 
 DEFAULT_SNF_COLUMN_BUDGET = 200_000
@@ -66,6 +69,8 @@ def gf2_rank(
     advance to reduce to zero (the clearing optimization) and are not
     touched.  ``columns`` may be a lazy sequence; the deadline is checked
     every 4096 columns, cleared ones included, as they are drawn from it.
+    Nothing in the library calls it: ``betti_gf2`` runs the shared coboundary
+    reducer mod 2.  It stays public API and an independent GF(2) reference.
     """
     pivots: dict[int, tuple[int, ...]] = {}
     rank = 0
@@ -86,110 +91,14 @@ def gf2_rank(
     return rank, frozenset(pivots)
 
 
-class _Coboundary:
-    """Coboundary columns of the d-simplices, generated one at a time.
-
-    Rows are keyed by the bitmask of a simplex's vertices.  The column of
-    sigma lists the keys of its cofaces sigma + {v}, one for each vertex v
-    adjacent to every vertex of sigma; each is a clique, so it is a
-    (d + 1)-simplex of the complex.  A simplex whose key is in
-    ``cleared_rows`` (a pivot row one dimension below) yields an empty
-    column, and its index is added to ``cleared`` as it is drawn, so
-    ``gf2_rank`` skips it and the caller can count it.
-    """
-
-    def __init__(self, cx: FlagComplex, d: int, cleared_rows: frozenset[int]) -> None:
-        self.simplices = cx.simplices[d]
-        self.masks = cx.graph.masks
-        self.cleared_rows = cleared_rows
-        self.cleared: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-    def __iter__(self) -> Iterator[list[int]]:
-        masks, cleared_rows, cleared = self.masks, self.cleared_rows, self.cleared
-        for j, sigma in enumerate(self.simplices):
-            key = 0
-            for v in sigma:
-                key |= 1 << v
-            if key in cleared_rows:
-                cleared.add(j)
-                yield []
-                continue
-            common = -1
-            for v in sigma:
-                common &= masks[v]
-            column = []
-            while common:
-                low = common & -common
-                column.append(key | low)
-                common ^= low
-            yield column
-
-
-def _require_depth(cx: FlagComplex, need: int, what: str) -> None:
-    if not cx.complete and cx.top_dim < need:
-        raise TruncatedComplexError(
-            f"{what} needs enumeration through dimension {need}, "
-            f"but the complex is truncated at {cx.top_dim}"
-        )
-
-
-def _profile_bounds(cx: FlagComplex, max_dim: int) -> tuple[int, int | None, int | None]:
-    """Top boundary dimension to reduce, euler value, and truncation marker."""
-    top = min(max_dim + 1, cx.top_dim)
-    euler = euler_characteristic(cx) if cx.complete else None
-    truncated_at = None if (cx.complete and max_dim >= cx.top_dim) else max_dim
-    return top, euler, truncated_at
-
-
-def betti_gf2(
-    cx: FlagComplex, max_betti_dim: int, deadline: float | None = None
-) -> BettiProfile:
-    """GF(2) Betti numbers of a flag complex through dimension max_betti_dim.
-
-    Requires the complex to be enumerated through max_betti_dim + 1 (or to be
-    complete), because betti[d] subtracts the rank of the boundary one
-    dimension up.  Over a field the rank of the boundary d+1 -> d equals the
-    rank of the coboundary d -> d+1, so the coboundaries are reduced instead,
-    from dimension 0 upward, with every simplex keyed by the bitmask of its
-    vertices and the largest key as pivot.  A (d + 1)-simplex that is a pivot
-    row of the coboundary of dimension d has a column that reduces to zero
-    one dimension up, so it is cleared without being built (de Silva, Morozov
-    & Vejdemo-Johansson 2011; Bauer, Ripser 2021).
-    """
-    if max_betti_dim < 0:
-        raise ValueError(f"max_betti_dim must be nonnegative, got {max_betti_dim}")
-    _require_depth(cx, max_betti_dim + 1, "betti_gf2")
-    top, euler, truncated_at = _profile_bounds(cx, max_betti_dim)
-
-    ranks = [0] * (max_betti_dim + 2)
-    pivot_rows: frozenset[int] = frozenset()
-    for d in range(top):
-        columns = _Coboundary(cx, d, pivot_rows)
-        ranks[d + 1], pivot_rows = gf2_rank(columns, columns.cleared, deadline)
-
-    betti = tuple(
-        cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_betti_dim + 1)
-    )
-    return BettiProfile(
-        coefficients="gf2",
-        betti=betti,
-        torsion=tuple(() for _ in betti),
-        euler=euler,
-        truncated_at=truncated_at,
-    )
-
-
 def signed_boundary_columns(cx: FlagComplex, d: int) -> list[dict[int, int]]:
     """Integer boundary columns for dimension d with alternating-sign entries.
 
     The boundary of an ascending simplex drops one vertex at a time, the face
     dropping position i weighted (-1)^i.  Row indices follow the lexicographic
-    order of the (d - 1)-simplices, matching ``boundary_matrix``.
-    ``homology_integer`` does not build it; the tests use it with
-    ``smith_invariants`` as the homology-direction reference.
+    order of the (d - 1)-simplices.  ``homology_integer`` does not build it;
+    the tests use it with ``smith_invariants`` as the homology-direction
+    reference.
     """
     if not 1 <= d <= cx.top_dim:
         raise ValueError(f"dimension {d} outside enumerated range 1..{cx.top_dim}")
@@ -201,6 +110,27 @@ def signed_boundary_columns(cx: FlagComplex, d: int) -> list[dict[int, int]]:
             col[face_index[sigma[:i] + sigma[i + 1 :]]] = 1 if i % 2 == 0 else -1
         columns.append(col)
     return columns
+
+
+@dataclass(frozen=True, eq=False)
+class SparseBitMatrix:
+    """GF(2) matrix stored as columns of strictly ascending row indices."""
+
+    n_rows: int
+    n_cols: int
+    columns: tuple[tuple[int, ...], ...]
+
+
+def boundary_matrix(cx: FlagComplex, d: int) -> SparseBitMatrix:
+    """GF(2) boundary matrix from d-simplices to their (d - 1)-faces.
+
+    ``signed_boundary_columns`` with the signs dropped and the rows sorted:
+    rows are indexed by the lexicographic position of each (d - 1)-simplex,
+    columns by the position of each d-simplex.  ``betti_gf2`` does not build
+    it; the tests use it as the homology-direction reference.
+    """
+    columns = tuple(tuple(sorted(col)) for col in signed_boundary_columns(cx, d))
+    return SparseBitMatrix(n_rows=cx.counts[d - 1], n_cols=cx.counts[d], columns=columns)
 
 
 def smith_invariants(
@@ -414,31 +344,39 @@ def _signed_column(key: int, common: int) -> dict[int, int]:
 
 
 def _coboundary_invariants(
-    cx: FlagComplex, d: int, cleared_rows: frozenset[int], deadline: float | None
+    cx: FlagComplex,
+    d: int,
+    cleared_rows: frozenset[int],
+    modulus: int,
+    deadline: float | None,
 ) -> tuple[int, tuple[int, ...], frozenset[int]]:
     """Rank and invariant factors > 1 of the coboundary of dimension d.
 
-    Reduces the signed coboundary columns left to right by exact integer
-    column operations against a pivot map keyed by the largest row key,
-    skipping the columns of simplices in ``cleared_rows``.  A column whose
-    low entry is +/-1 becomes the pivot of that row, scaled so the entry is
-    +1.  An unreduced column's low entry is always a unit, so a column whose
-    low row is still free is recorded as (key, common) and only built when a
-    later column reduces against it.  The deadline is checked every 4096
-    columns, cleared ones included.
+    Reduces the signed coboundary columns left to right by column operations
+    against a pivot map keyed by the largest row key, skipping the columns
+    of simplices in ``cleared_rows``.  Entries are taken mod ``modulus``
+    after each operation when it is nonzero (2 for GF(2)) and kept as exact
+    integers when it is 0.  A column whose low entry is +/-1 becomes the
+    pivot of that row, scaled so the entry is +1.  An unreduced column's low
+    entry is always a unit, so a column whose low row is still free is
+    recorded as (key, common) and only built when a later column reduces
+    against it.  The deadline is checked every 4096 columns, cleared ones
+    included.
 
     When every low entry is a unit, the reduced matrix has a square submatrix
     that is triangular with unit diagonal, so the rank is the pivot count and
-    every invariant factor is 1.  The first low entry that is not a unit
-    hands the uncleared columns, row keys renumbered, to ``smith_invariants``.
+    every invariant factor is 1.  Mod 2 every nonzero entry is a unit.  Over
+    the integers the first low entry that is not a unit hands the uncleared
+    columns, row keys renumbered, to ``smith_invariants``.
 
     Also returns the unit pivot rows, which clear the coboundary one
     dimension up.
     """
+    ring = "GF(2)" if modulus == 2 else "integer"
     pivots: dict[int, tuple[int, int] | dict[int, int]] = {}
     for j, (key, common) in enumerate(_keys_and_cofaces(cx, d)):
         if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during integer reduction at column {j}")
+            raise BudgetError(f"time budget exceeded during {ring} reduction at column {j}")
         if not common or key in cleared_rows:
             continue
         low = key | (1 << (common.bit_length() - 1))
@@ -459,6 +397,8 @@ def _coboundary_invariants(
             a = col[low]
             for r, v in other.items():
                 nv = col.get(r, 0) - a * v
+                if modulus:
+                    nv %= modulus
                 if nv:
                     col[r] = nv
                 else:
@@ -489,40 +429,27 @@ def _coboundary_smith(
     return smith_invariants(cx.counts[d + 1], columns, deadline)
 
 
-def homology_integer(
+def _coboundary_profile(
     cx: FlagComplex,
     max_dim: int,
-    column_budget: int | None = DEFAULT_SNF_COLUMN_BUDGET,
-    deadline: float | None = None,
+    modulus: int,
+    column_budget: int | None,
+    deadline: float | None,
 ) -> BettiProfile:
-    """Integer homology of a flag complex through dimension max_dim.
+    """Betti profile through max_dim from the coboundaries reduced mod ``modulus``.
 
-    betti[d] is the free rank of H_d and torsion[d] its invariant factors
-    greater than 1.  Both come from the boundary one dimension up, whose
-    transpose, the coboundary of dimension d, has the same rank and the same
-    invariant factors.  The coboundaries are reduced from dimension 0 upward
-    like ``betti_gf2`` does, by exact integer column operations on unit
-    pivots.  Each unit pivot pair is an elementary reduction of the chain
-    complex (Kaczynski, Mrozek & Slusarek 1998), so the (d + 1)-simplices
-    that are unit pivot rows of dimension d are cleared one dimension up
-    without changing the rank or any invariant factor.  A dimension whose
-    reduction meets a low entry other than +/-1 is handed whole to
-    ``smith_invariants``.  Needs enumeration through max_dim + 1 like the
-    GF(2) path.
-
-    Args:
-        cx: the enumerated complex.
-        max_dim: top homology dimension to report.
-        column_budget: per-dimension cap on the simplex count, checked on
-            dimensions 1 .. max_dim + 1 in ascending order before any
-            reduction; exceeding it raises BudgetError naming the first
-            dimension over it.  None disables.
-        deadline: optional time.monotonic() cutoff.
+    ``modulus`` is 2 for GF(2) or 0 for the integers; over any other prime a
+    non-unit low entry would reach the integer Smith normal form.
     """
+    coefficients, entry = ("gf2", "betti_gf2") if modulus else ("integer", "homology_integer")
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    _require_depth(cx, max_dim + 1, "homology_integer")
-    top, euler, truncated_at = _profile_bounds(cx, max_dim)
+    if not cx.complete and cx.top_dim < max_dim + 1:
+        raise TruncatedComplexError(
+            f"{entry} needs enumeration through dimension {max_dim + 1}, "
+            f"but the complex is truncated at {cx.top_dim}"
+        )
+    top = min(max_dim + 1, cx.top_dim)
     if column_budget is not None:
         for d in range(1, top + 1):
             if cx.counts[d] > column_budget:
@@ -536,17 +463,69 @@ def homology_integer(
     pivot_rows: frozenset[int] = frozenset()
     for d in range(top):
         ranks[d + 1], torsion[d], pivot_rows = _coboundary_invariants(
-            cx, d, pivot_rows, deadline
+            cx, d, pivot_rows, modulus, deadline
         )
 
     betti = tuple(cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
     return BettiProfile(
-        coefficients="integer",
+        coefficients=coefficients,
         betti=betti,
         torsion=tuple(torsion),
-        euler=euler,
-        truncated_at=truncated_at,
+        euler=euler_characteristic(cx) if cx.complete else None,
+        truncated_at=None if (cx.complete and max_dim >= cx.top_dim) else max_dim,
     )
+
+
+def betti_gf2(
+    cx: FlagComplex, max_betti_dim: int, deadline: float | None = None
+) -> BettiProfile:
+    """GF(2) Betti numbers of a flag complex through dimension max_betti_dim.
+
+    Requires the complex to be enumerated through max_betti_dim + 1 (or to be
+    complete), because betti[d] subtracts the rank of the boundary one
+    dimension up.  Over a field the rank of the boundary d+1 -> d equals the
+    rank of the coboundary d -> d+1, so the coboundaries are reduced instead,
+    from dimension 0 upward, by the reducer of ``homology_integer`` with
+    entries taken mod 2.  Every simplex is keyed by the bitmask of its
+    vertices, with the largest key as pivot.  A (d + 1)-simplex that is a
+    pivot row of the coboundary of dimension d has a column that reduces to
+    zero one dimension up, so it is cleared without being built (de Silva,
+    Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021).
+    """
+    return _coboundary_profile(cx, max_betti_dim, 2, None, deadline)
+
+
+def homology_integer(
+    cx: FlagComplex,
+    max_dim: int,
+    column_budget: int | None = DEFAULT_SNF_COLUMN_BUDGET,
+    deadline: float | None = None,
+) -> BettiProfile:
+    """Integer homology of a flag complex through dimension max_dim.
+
+    betti[d] is the free rank of H_d and torsion[d] its invariant factors
+    greater than 1.  Both come from the boundary one dimension up, whose
+    transpose, the coboundary of dimension d, has the same rank and the same
+    invariant factors.  The coboundaries are reduced from dimension 0 upward
+    by exact integer column operations on unit pivots, the same reducer
+    ``betti_gf2`` runs mod 2.  Each unit pivot pair is an elementary
+    reduction of the chain complex (Kaczynski, Mrozek & Slusarek 1998), so
+    the (d + 1)-simplices that are unit pivot rows of dimension d are cleared
+    one dimension up without changing the rank or any invariant factor.  A
+    dimension whose reduction meets a low entry other than +/-1 is handed
+    whole to ``smith_invariants``.  Needs enumeration through max_dim + 1
+    like the GF(2) path.
+
+    Args:
+        cx: the enumerated complex.
+        max_dim: top homology dimension to report.
+        column_budget: per-dimension cap on the simplex count, checked on
+            dimensions 1 .. max_dim + 1 in ascending order before any
+            reduction; exceeding it raises BudgetError naming the first
+            dimension over it.  None disables.
+        deadline: optional time.monotonic() cutoff.
+    """
+    return _coboundary_profile(cx, max_dim, 0, column_budget, deadline)
 
 
 def expected_cycle_profile(n: int, k: int) -> BettiProfile:

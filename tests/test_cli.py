@@ -281,6 +281,15 @@ class TestVerifyTableCommand:
         assert payload["failed"] == 1
         assert payload["rows"][0]["status"] == "FAIL"
 
+    def test_json_no_timing_is_byte_deterministic(self, capsys):
+        argv = ("verify-table", "--n", "5:6", "--format", "json", "--no-timing")
+        _, out1, _ = run_cli(capsys, *argv)
+        _, out2, _ = run_cli(capsys, *argv)
+        assert out1 == out2
+        payload = json.loads(out1)
+        assert payload["passed"] >= 2
+        assert all(row.get("wall_time_ms") is None for row in payload["rows"])
+
 
 class TestCertifyCommand:
     def test_cross_polytope(self, capsys):

@@ -279,8 +279,27 @@ class TestBettiGf2:
         tr.betti_gf2(cx, 3, deadline=float("inf"))
         readings = Clock.ticks
         Clock.ticks = 0
-        with pytest.raises(BudgetError, match=r"at column [1-9]"):
+        with pytest.raises(BudgetError, match=r"GF\(2\) reduction at column [1-9]"):
             tr.betti_gf2(cx, 3, deadline=readings - 0.5)
+
+    def test_projective_plane_reduces_mod_two(self, monkeypatch):
+        # H_1 = Z/2 makes betti 1 in dimensions 1 and 2 over GF(2).  Exact
+        # integer operations without the mod-2 step would lose both, and no
+        # GF(2) dimension may reach the integer Smith normal form.
+        graph = projective_plane_subdivision()
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        calls = []
+        smith = tr.homology.smith_invariants
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return smith(*args, **kwargs)
+
+        monkeypatch.setattr(tr.homology, "smith_invariants", spy)
+        profile = tr.betti_gf2(cx, 2)
+        assert profile.betti == (1, 1, 1) == homology_direction_betti(cx, 2)
+        assert profile.torsion == ((), (), ())
+        assert not calls
 
     def test_component_count_on_torus_scales(self):
         for n, k in [(4, 0), (6, 1), (5, 2)]:
