@@ -16,7 +16,6 @@ from typing import Optional
 
 from .complexes import Graph
 from .homology import BettiProfile
-from .spaces import FiniteMetricSpace, closed_ball
 
 EXHAUSTIVE_MAX_K = 1
 EXHAUSTIVE_MAX_POINTS = 100
@@ -38,18 +37,22 @@ class AntipodeReport:
 
 
 def antipode_check(graph: Graph) -> AntipodeReport:
-    """Decide whether every vertex is adjacent to all vertices but exactly one."""
+    """Decide whether every vertex is adjacent to all vertices but exactly one.
+
+    The one missing vertex of a vertex v of degree n - 2 is the single bit
+    left in the complement of its closed neighbourhood mask.
+    """
     n = graph.vertex_count
     if n % 2 == 1:
         return AntipodeReport(False, (), None)
+    full = (1 << n) - 1
     partner = [-1] * n
     for v in range(n):
         if graph.degree(v) != n - 2:
             return AntipodeReport(False, (), None)
-        missing = [u for u in range(n) if u != v and not graph.has_edge(u, v)]
-        partner[v] = missing[0]
+        partner[v] = (full & ~graph.masks[v] & ~(1 << v)).bit_length() - 1
     for v in range(n):
-        if partner[partner[v]] != v or partner[v] == v:
+        if partner[partner[v]] != v:
             return AntipodeReport(False, (), None)
     pairs = tuple(sorted((v, partner[v]) for v in range(n) if v < partner[v]))
     return AntipodeReport(True, pairs, n // 2)
@@ -70,36 +73,38 @@ class ConnectivityCertificate:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _counting_certified(space: FiniteMetricSpace, min_ball: int, k: int) -> bool:
-    size = space.point_count
+def _counting_certified(size: int, min_ball: int, k: int) -> bool:
     return size - (2 * k + 2) * (size - min_ball) >= 1
 
 
 def connectivity_bound(
-    space: FiniteMetricSpace, r: int, max_k: int, method: str = "counting"
+    graph: Graph, r: int, max_k: int, method: str = "counting"
 ) -> ConnectivityCertificate:
     """Certify k-connectivity of the scale-r complex through ball intersections.
 
-    The counting method uses only the minimum closed-ball size b: any
-    2k + 2 balls must overlap when |X| - (2k + 2)(|X| - b) >= 1.  The
-    exhaustive method intersects every choice of 2k + 2 distinct centers and
-    is restricted to k <= 1 and at most 100 points.  Both walk k upward from
-    0 and report the last success, so the result is monotone by construction.
+    ``graph`` is the scale-r graph of the space, ``vr_graph(space, r)``.  In
+    a metric space distance 0 holds only on the diagonal, so the closed ball
+    of radius r around v is the closed neighbourhood of v in that graph: its
+    size is degree + 1 and its bitmask ``masks[v] | 1 << v``.  The counting
+    method uses only the minimum closed-ball size b: any 2k + 2 balls must
+    overlap when |X| - (2k + 2)(|X| - b) >= 1.  The exhaustive method
+    intersects every choice of 2k + 2 distinct centers and is restricted to
+    k <= 1 and at most 100 points.  Both walk k upward from 0 and report the
+    last success, so the result is monotone by construction.
     """
     if max_k < 0:
         raise ValueError(f"max_k must be nonnegative, got {max_k}")
     if method not in ("counting", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
 
-    size = space.point_count
-    ball_sizes = [len(closed_ball(space, v, r)) for v in range(size)]
-    min_ball = min(ball_sizes)
+    size = graph.vertex_count
+    min_ball = min(map(len, graph.neighbors)) + 1
     detail = {"min_ball": min_ball, "points": size}
 
     if method == "counting":
         certified = -1
         for k in range(max_k + 1):
-            if not _counting_certified(space, min_ball, k):
+            if not _counting_certified(size, min_ball, k):
                 break
             certified = k
         return ConnectivityCertificate(r, "counting", certified, detail)
@@ -112,12 +117,7 @@ def connectivity_bound(
         raise ValueError(
             f"exhaustive method limited to {EXHAUSTIVE_MAX_POINTS} points, space has {size}"
         )
-    balls = [0] * size
-    for v in range(size):
-        mask = 0
-        for u in closed_ball(space, v, r):
-            mask |= 1 << u
-        balls[v] = mask
+    balls = [m | 1 << v for v, m in enumerate(graph.masks)]
     certified = -1
     for k in range(max_k + 1):
         tuple_size = min(2 * k + 2, size)

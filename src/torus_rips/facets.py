@@ -263,8 +263,12 @@ def torus_facets(n: int, k: int) -> FacetSet:
 def brute_force_facets(graph: Graph, source: str = "bron-kerbosch") -> FacetSet:
     """All maximal cliques of a graph via Bron-Kerbosch with pivoting.
 
-    Deterministic: the pivot maximizes the candidate coverage with smallest
-    vertex index as tie-break, and branching follows ascending vertex order.
+    Deterministic: the pivot scan walks the candidates and excluded vertices
+    in ascending order and keeps the first one with the largest candidate
+    coverage, stopping early at the first vertex that leaves at most one
+    branch; branching follows ascending vertex order.  Any pivot from the
+    candidates and excluded vertices yields every maximal clique exactly
+    once, so the early stop changes the search tree, never the facet set.
     Refuses graphs above the vertex budget rather than running unbounded.
     """
     n = graph.vertex_count
@@ -282,11 +286,18 @@ def brute_force_facets(graph: Graph, source: str = "bron-kerbosch") -> FacetSet:
             return
         pivot = -1
         best = -1
-        for u in iter_bits(candidates | excluded):
+        enough = candidates.bit_count() - 1
+        m = candidates | excluded
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
             c = (candidates & masks[u]).bit_count()
             if c > best:
                 best = c
                 pivot = u
+                if c >= enough:
+                    break
         for v in iter_bits(candidates & ~masks[pivot]):
             bit = 1 << v
             expand(clique | bit, candidates & masks[v], excluded & masks[v])

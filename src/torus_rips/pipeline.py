@@ -141,7 +141,7 @@ def certify_torus(
     deadline = config.deadline()
     graph = vr_graph(space, k)
     antipode = antipode_check(graph)
-    conn = connectivity_bound(space, k, max_k=1, method="counting")
+    conn = connectivity_bound(graph, k, max_k=1, method="counting")
 
     profile: Optional[BettiProfile] = None
     if antipode.is_antipode:

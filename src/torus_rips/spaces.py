@@ -52,7 +52,13 @@ class FiniteMetricSpace:
     """A finite metric space addressed by vertex index 0..point_count-1.
 
     Torus vertices are indexed row * n + col; window vertices in lexicographic
-    (x, y) order.  ``distance`` is total, symmetric, and integer-valued.
+    (x, y) order.  ``distance`` is total, nonnegative and integer-valued, and
+    must satisfy the metric axioms, which ``vr_graph`` and
+    ``connectivity_bound`` rely on:
+
+    - d(u, v) = 0 exactly when u = v;
+    - d(u, v) = d(v, u);
+    - d(u, w) <= d(u, v) + d(v, w).
     """
 
     point_count: int

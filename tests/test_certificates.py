@@ -1,14 +1,59 @@
 """Tests for antipode detection, connectivity bounds, and fingerprints."""
 
+import functools
 import itertools
+import operator
+import random
 
 import pytest
 
 import torus_rips as tr
+from torus_rips.complexes import iter_bits
 
 
 def torus_cx(n, k, depth):
     return tr.enumerate_simplices(tr.vr_graph(tr.torus_space(n), k), depth)
+
+
+def relabelled(space, seed):
+    perm = list(range(space.point_count))
+    random.Random(seed).shuffle(perm)
+    return tr.FiniteMetricSpace(
+        point_count=space.point_count,
+        distance=lambda a, b: space.distance(perm[a], perm[b]),
+        label=f"relabelled {space.label}",
+    )
+
+
+def missing_partner_pairs(graph):
+    """Each vertex with its one non-neighbour, found by scanning has_edge."""
+    pairs = set()
+    for v in range(graph.vertex_count):
+        missing = [u for u in range(graph.vertex_count) if u != v and not graph.has_edge(u, v)]
+        assert len(missing) == 1
+        pairs.add((min(v, missing[0]), max(v, missing[0])))
+    return tuple(sorted(pairs))
+
+
+def closed_ball_certificate(space, r, max_k, method):
+    """certified_k and the minimum ball size, from closed_ball around every centre."""
+    size = space.point_count
+    balls = [tr.closed_ball(space, v, r) for v in range(size)]
+    min_ball = min(map(len, balls))
+    masks = [sum(1 << u for u in ball) for ball in balls]
+    certified = -1
+    for k in range(max_k + 1):
+        if method == "counting":
+            ok = size - (2 * k + 2) * (size - min_ball) >= 1
+        else:
+            ok = all(
+                functools.reduce(operator.and_, (masks[c] for c in centres))
+                for centres in itertools.combinations(range(size), min(2 * k + 2, size))
+            )
+        if not ok:
+            break
+        certified = k
+    return certified, min_ball
 
 
 class TestAntipodeCheck:
@@ -48,6 +93,28 @@ class TestAntipodeCheck:
         assert not tr.antipode_check(complete).is_antipode
         assert not tr.antipode_check(tr.Graph.from_edges(4, [(0, 1), (2, 3)])).is_antipode
 
+    @pytest.mark.parametrize("n,seed", [(4, 1), (6, 2), (8, 3), (10, 4)])
+    def test_pairs_match_has_edge_scan_on_relabelled_tori(self, n, seed):
+        graph = tr.vr_graph(relabelled(tr.torus_space(n), seed), n - 1)
+        report = tr.antipode_check(graph)
+        assert report.is_antipode
+        assert report.pairs == missing_partner_pairs(graph)
+
+    def test_non_mutual_partners_rejected(self):
+        # Every vertex misses exactly one other, but v misses v + 1 mod 4,
+        # so the missing partners form a directed 4-cycle, not a matching.
+        n = 4
+        masks = tuple(((1 << n) - 1) & ~(1 << v) & ~(1 << (v + 1) % n) for v in range(n))
+        graph = tr.Graph(
+            vertex_count=n,
+            neighbors=tuple(tuple(iter_bits(m)) for m in masks),
+            masks=masks,
+        )
+        assert all(graph.degree(v) == n - 2 for v in range(n))
+        report = tr.antipode_check(graph)
+        assert not report.is_antipode
+        assert report.pairs == ()
+
     def test_simplices_avoid_antipodal_pairs(self):
         # In the cross-polytope boundary a simplex never contains an
         # antipodal pair, and every pair-free vertex set is a simplex; the
@@ -64,7 +131,7 @@ class TestAntipodeCheck:
 
 class TestConnectivityBound:
     def test_counting_on_key_spaces(self):
-        cert = tr.connectivity_bound(tr.torus_space(5), 3, max_k=3)
+        cert = tr.connectivity_bound(tr.vr_graph(tr.torus_space(5), 3), 3, max_k=3)
         assert cert.method == "counting"
         assert cert.scale == 3
         assert cert.detail["min_ball"] == 21
@@ -72,32 +139,32 @@ class TestConnectivityBound:
         # 25 - (2k + 2) * 4 stays positive through k = 2.
         assert cert.certified_k == 2
 
-        cert = tr.connectivity_bound(tr.torus_space(7), 4, max_k=3)
+        cert = tr.connectivity_bound(tr.vr_graph(tr.torus_space(7), 4), 4, max_k=3)
         assert cert.detail["min_ball"] == 37
         # 49 - 4 * 12 = 1 certifies k = 1 and nothing above.
         assert cert.certified_k == 1
 
     def test_counting_can_fail_at_pairs(self):
-        cert = tr.connectivity_bound(tr.torus_space(7), 2, max_k=1)
+        cert = tr.connectivity_bound(tr.vr_graph(tr.torus_space(7), 2), 2, max_k=1)
         assert cert.certified_k == -1
 
     def test_max_k_caps_the_walk(self):
-        cert = tr.connectivity_bound(tr.torus_space(5), 3, max_k=0)
+        cert = tr.connectivity_bound(tr.vr_graph(tr.torus_space(5), 3), 3, max_k=0)
         assert cert.certified_k == 0
 
     def test_exhaustive_agrees_with_counting_when_counting_wins(self):
-        space = tr.torus_space(5)
-        counting = tr.connectivity_bound(space, 3, max_k=1)
-        exhaustive = tr.connectivity_bound(space, 3, max_k=1, method="exhaustive")
+        graph = tr.vr_graph(tr.torus_space(5), 3)
+        counting = tr.connectivity_bound(graph, 3, max_k=1)
+        exhaustive = tr.connectivity_bound(graph, 3, max_k=1, method="exhaustive")
         assert counting.certified_k == 1
         assert exhaustive.certified_k == 1
 
     def test_exhaustive_finds_disjoint_pair(self):
         # At scale 1 on the 4x4 torus grid, balls around an antipodal pair
         # are disjoint, so even pairwise intersection fails.
-        space = tr.torus_space(4)
-        counting = tr.connectivity_bound(space, 1, max_k=1)
-        exhaustive = tr.connectivity_bound(space, 1, max_k=1, method="exhaustive")
+        graph = tr.vr_graph(tr.torus_space(4), 1)
+        counting = tr.connectivity_bound(graph, 1, max_k=1)
+        exhaustive = tr.connectivity_bound(graph, 1, max_k=1, method="exhaustive")
         assert counting.certified_k == -1
         assert exhaustive.certified_k == -1
 
@@ -105,21 +172,47 @@ class TestConnectivityBound:
         # The counting bound is sound, so the exhaustive answer can only be
         # larger or equal wherever both run.
         for n, r in [(4, 1), (4, 2), (5, 2), (5, 3), (6, 3)]:
-            space = tr.torus_space(n)
-            counting = tr.connectivity_bound(space, r, max_k=1)
-            exhaustive = tr.connectivity_bound(space, r, max_k=1, method="exhaustive")
+            graph = tr.vr_graph(tr.torus_space(n), r)
+            counting = tr.connectivity_bound(graph, r, max_k=1)
+            exhaustive = tr.connectivity_bound(graph, r, max_k=1, method="exhaustive")
             assert counting.certified_k <= exhaustive.certified_k
 
+    @pytest.mark.parametrize(
+        "space",
+        [
+            tr.cycle_space(6),
+            tr.cycle_space(9),
+            tr.cycle_space(12),
+            tr.torus_space(4),
+            tr.torus_space(5),
+            tr.torus_space(6),
+            tr.window_space(tr.Window(0, 2, 0, 3)),
+            tr.window_space(tr.Window(-2, 2, -2, 2)),
+        ],
+        ids=lambda space: space.label,
+    )
+    def test_matches_closed_balls(self, space):
+        n = space.point_count
+        diameter = max(space.distance(u, v) for u in range(n) for v in range(n))
+        for r in range(diameter + 1):
+            graph = tr.vr_graph(space, r)
+            for method in ("counting", "exhaustive"):
+                cert = tr.connectivity_bound(graph, r, max_k=1, method=method)
+                want = closed_ball_certificate(space, r, 1, method)
+                assert (cert.certified_k, cert.detail["min_ball"]) == want
+
     def test_validation(self):
-        space = tr.torus_space(4)
+        graph = tr.vr_graph(tr.torus_space(4), 1)
         with pytest.raises(ValueError):
-            tr.connectivity_bound(space, 1, max_k=-1)
+            tr.connectivity_bound(graph, 1, max_k=-1)
         with pytest.raises(ValueError):
-            tr.connectivity_bound(space, 1, max_k=1, method="guess")
+            tr.connectivity_bound(graph, 1, max_k=1, method="guess")
         with pytest.raises(ValueError):
-            tr.connectivity_bound(space, 1, max_k=2, method="exhaustive")
+            tr.connectivity_bound(graph, 1, max_k=2, method="exhaustive")
         with pytest.raises(ValueError):
-            tr.connectivity_bound(tr.torus_space(11), 1, max_k=1, method="exhaustive")
+            tr.connectivity_bound(
+                tr.vr_graph(tr.torus_space(11), 1), 1, max_k=1, method="exhaustive"
+            )
 
 
 class TestExpectedTorusProfile:

@@ -3,10 +3,13 @@
 import io
 import itertools
 import math
+import random
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import torus_rips as tr
 from torus_rips.complexes import iter_bits
@@ -25,6 +28,64 @@ def clique_oracle(graph, max_size):
             if all(graph.has_edge(u, v) for u, v in itertools.combinations(subset, 2)):
                 found.add(frozenset(subset))
     return found
+
+
+def all_pairs_vr_graph(space, k):
+    """The scale-k graph by measuring every pair: the reference for vr_graph."""
+    n = space.point_count
+    dist = space.distance
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if 0 < dist(u, v) <= k]
+    return tr.Graph.from_edges(n, edges)
+
+
+def matrix_space(rows, label):
+    return tr.FiniteMetricSpace(
+        point_count=len(rows), distance=lambda a, b: rows[a][b], label=label
+    )
+
+
+@st.composite
+def weighted_graph_spaces(draw):
+    """Shortest-path metric of a random connected graph with weights 1 to 5."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    inf = float("inf")
+    rows = [[0 if u == v else inf for v in range(n)] for u in range(n)]
+
+    def join(u, v, w):
+        rows[u][v] = rows[v][u] = min(rows[u][v], w)
+
+    weights = st.integers(min_value=1, max_value=5)
+    for v in range(1, n):
+        join(draw(st.integers(min_value=0, max_value=v - 1)), v, draw(weights))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            join(u, v, draw(weights))
+    for w, u, v in itertools.product(range(n), repeat=3):
+        rows[u][v] = min(rows[u][v], rows[u][w] + rows[w][v])
+    return matrix_space([[int(d) for d in row] for row in rows], f"weighted graph {n}")
+
+
+@st.composite
+def relabelled_tori(draw):
+    """A torus grid whose vertices are renamed by a seeded permutation."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    base = tr.torus_space(n)
+    perm = list(range(base.point_count))
+    random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1))).shuffle(perm)
+    return tr.FiniteMetricSpace(
+        point_count=base.point_count,
+        distance=lambda a, b: base.distance(perm[a], perm[b]),
+        label=f"relabelled torus {n}",
+    )
+
+
+windows = st.builds(
+    lambda w, h: tr.window_space(tr.Window(0, w - 1, 0, h - 1)),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
+)
+cycles = st.builds(tr.cycle_space, st.integers(min_value=3, max_value=16))
 
 
 class TestGraph:
@@ -78,6 +139,35 @@ class TestVrGraph:
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError):
             tr.vr_graph(tr.cycle_space(5), -1)
+
+    @given(st.one_of(weighted_graph_spaces(), relabelled_tori(), windows, cycles))
+    @example(tr.window_space(tr.Window(0, 0, 0, 0)))
+    @example(matrix_space([[0, 3], [3, 0]], "two points"))
+    @settings(deadline=None, max_examples=80)
+    def test_matches_all_pairs_scan(self, space):
+        n = space.point_count
+        diameter = max(space.distance(u, v) for u in range(n) for v in range(n))
+        for k in range(diameter + 2):
+            got = tr.vr_graph(space, k)
+            want = all_pairs_vr_graph(space, k)
+            assert got.vertex_count == n
+            assert got.masks == want.masks
+            assert got.neighbors == tuple(tuple(iter_bits(m)) for m in want.masks)
+
+    def test_measures_few_pairs(self):
+        # A fall back to measuring every pair would make N(N - 1)/2 calls.
+        base = tr.torus_space(30)
+        calls = [0]
+
+        def dist(a, b):
+            calls[0] += 1
+            return base.distance(a, b)
+
+        space = tr.FiniteMetricSpace(point_count=base.point_count, distance=dist, label="counted")
+        graph = tr.vr_graph(space, 6)
+        n = space.point_count
+        assert graph.edge_count() == n * 84 // 2  # a radius-6 L1 ball has 85 points
+        assert calls[0] < n * (n - 1) // 4
 
 
 class TestEnumerateSimplices:

@@ -1,8 +1,11 @@
 """Tests for the closed-form facet catalogs and the maximal-clique oracle."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torus_rips as tr
 from torus_rips.errors import BudgetError, UnsupportedRegimeError
@@ -205,6 +208,16 @@ class TestProjectFacet:
             tr.project_facet(pts, 3)
 
 
+@st.composite
+def random_graphs(draw):
+    """A graph on at most 12 vertices, each pair an edge with a drawn density."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+    return tr.Graph.from_edges(n, edges)
+
+
 class TestBruteForceFacets:
     def test_edgeless_graph(self):
         g = tr.Graph.from_edges(3, [])
@@ -231,6 +244,18 @@ class TestBruteForceFacets:
         g = tr.Graph.from_edges(2, [(0, 1)])
         assert tr.brute_force_facets(g).source == "bron-kerbosch"
         assert tr.brute_force_facets(g, source="check").source == "check"
+
+    @given(random_graphs())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_maximal_enumerated_cliques(self, graph):
+        # Independent of the pivot rule: every clique is listed, then the
+        # ones some common neighbour extends are dropped.
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        want = {
+            sigma for layer in cx.simplices for sigma in layer
+            if tr.is_maximal_clique(graph, sigma)
+        }
+        assert set(tr.brute_force_facets(graph).facets) == want
 
 
 def oracle_set(graph):
