@@ -98,7 +98,7 @@ def connectivity_bound(
         raise ValueError(f"unknown method {method!r}")
 
     size = graph.vertex_count
-    min_ball = min(map(len, graph.neighbors)) + 1
+    min_ball = min(map(int.bit_count, graph.masks)) + 1
     detail = {"min_ball": min_ball, "points": size}
 
     if method == "counting":

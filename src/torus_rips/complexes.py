@@ -3,14 +3,16 @@
 The scale-k graph of a finite metric space joins two vertices when their
 distance is positive and at most k; its clique complex is the Vietoris-Rips
 complex at scale k under the closed convention (a simplex is any vertex set
-of diameter at most k).
+of diameter at most k).  Neighbourhoods and simplices alike are stored as
+vertex bitmasks, bit v set iff v is in the set; vertex tuples are made only
+for listings.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 from .errors import BudgetError, SimplexBudgetError, TruncatedComplexError
@@ -35,29 +37,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_positions(mask: int) -> tuple[int, ...]:
-    """Set-bit positions of a nonnegative int in ascending order.
-
-    Reads the binary digits in C, so a dense adjacency mask costs about as
-    much as a sparse one of the same width, unlike a bit-by-bit loop.
-    """
-    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(range(len(digits)), digits))
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph with sorted neighbor lists and bitmask adjacency.
+    """Undirected graph stored as one adjacency bitmask per vertex.
 
-    ``masks[u]`` has bit v set iff {u, v} is an edge; the bitmask form is what
-    the clique enumeration and the maximal-clique search operate on.
+    ``masks[u]`` has bit v set iff {u, v} is an edge.  Degrees and edge
+    counts are popcounts of these masks, and the clique enumeration, the
+    maximal-clique search and the certificates all operate on them directly.
     """
 
     vertex_count: int
-    neighbors: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
 
     @classmethod
@@ -72,21 +61,20 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        neighbors = tuple(map(_bit_positions, masks))
-        return cls(vertex_count=vertex_count, neighbors=neighbors, masks=tuple(masks))
+        return cls(vertex_count=vertex_count, masks=tuple(masks))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.masks[u] >> v) & 1 == 1
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return sum(map(int.bit_count, self.masks)) // 2
 
     def is_complete(self) -> bool:
         full = self.vertex_count - 1
-        return all(len(nb) == full for nb in self.neighbors)
+        return all(m.bit_count() == full for m in self.masks)
 
 
 def vr_graph(space: FiniteMetricSpace, k: int) -> Graph:
@@ -152,25 +140,28 @@ def vr_graph(space: FiniteMetricSpace, k: int) -> Graph:
                 found |= low
                 masks[v] |= bit
         masks[u] |= found << (u + 1)
-    neighbors = tuple(map(_bit_positions, masks))
-    return Graph(vertex_count=n, neighbors=neighbors, masks=tuple(masks))
+    return Graph(vertex_count=n, masks=tuple(masks))
 
 
 @dataclass(frozen=True, eq=False)
 class FlagComplex:
     """Clique complex of a graph, enumerated up to a dimension cap.
 
-    ``simplices[d]`` lists the d-simplices (cliques of d + 1 vertices) as
-    ascending vertex tuples in lexicographic order.  ``complete`` is True when
-    the enumeration proved no simplex beyond the last listed dimension exists,
+    ``keys[d]`` lists the d-simplices (cliques of d + 1 vertices) as vertex
+    bitmasks in the lexicographic order of their vertex tuples, which
+    ``simplices[d]`` builds on first access.  ``complete`` is True when the
+    enumeration proved no simplex beyond the last listed dimension exists,
     so the listed skeleton is the whole complex.
     """
 
     graph: Graph
-    max_dim: int
-    simplices: tuple[tuple[Simplex, ...], ...]
+    keys: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
     complete: bool
+
+    @cached_property
+    def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
+        return tuple(tuple(tuple(iter_bits(key)) for key in layer) for layer in self.keys)
 
     @property
     def top_dim(self) -> int:
@@ -197,8 +188,9 @@ def enumerate_simplices(
 
     Dimension d + 1 is built from dimension d by extending each simplex with
     the vertices beyond its last member that are adjacent to all of it, which
-    the bitmask form reduces to one AND per extension.  Output order within a
-    dimension is lexicographic, and the whole enumeration is deterministic.
+    the bitmask form reduces to one AND per extension and one OR per new key.
+    Output order within a dimension is the lexicographic order of the vertex
+    tuples, and the whole enumeration is deterministic.
     Those extension bitmasks give the exact size of the next dimension, so
     the budget refuses it before any of it is built.
 
@@ -220,9 +212,9 @@ def enumerate_simplices(
     n = graph.vertex_count
     masks = graph.masks
 
-    layer: list[Simplex] = [(v,) for v in range(n)]
+    layer: list[int] = [1 << v for v in range(n)]
     cands: list[int] = [masks[v] & -(1 << (v + 1)) for v in range(n)]
-    layers: list[tuple[Simplex, ...]] = [tuple(layer)]
+    layers: list[tuple[int, ...]] = [tuple(layer)]
     total = n
     if budget is not None and total > budget:
         raise SimplexBudgetError(budget, 0)
@@ -236,7 +228,7 @@ def enumerate_simplices(
         total += size
         if budget is not None and total > budget:
             raise SimplexBudgetError(budget, d)
-        next_layer: list[Simplex] = []
+        next_layer: list[int] = []
         next_cands: list[int] = []
         append_s = next_layer.append
         append_c = next_cands.append
@@ -244,14 +236,13 @@ def enumerate_simplices(
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
             stop = start + _DEADLINE_CHUNK
-            for sigma, cand in zip(layer[start:stop], cands[start:stop]):
+            for key, cand in zip(layer[start:stop], cands[start:stop]):
                 m = cand
                 while m:
                     low = m & -m
-                    v = low.bit_length() - 1
                     m ^= low
-                    append_s(sigma + (v,))
-                    append_c(cand & masks[v] & -(low << 1))
+                    append_s(key | low)
+                    append_c(cand & masks[low.bit_length() - 1] & -(low << 1))
         layers.append(tuple(next_layer))
         layer = next_layer
         cands = next_cands
@@ -261,8 +252,7 @@ def enumerate_simplices(
 
     return FlagComplex(
         graph=graph,
-        max_dim=max_dim,
-        simplices=tuple(layers),
+        keys=tuple(layers),
         counts=tuple(len(ls) for ls in layers),
         complete=complete,
     )

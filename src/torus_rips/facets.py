@@ -268,8 +268,9 @@ def brute_force_facets(graph: Graph, source: str = "bron-kerbosch") -> FacetSet:
     coverage, stopping early at the first vertex that leaves at most one
     branch; branching follows ascending vertex order.  Any pivot from the
     candidates and excluded vertices yields every maximal clique exactly
-    once, so the early stop changes the search tree, never the facet set.
-    Refuses graphs above the vertex budget rather than running unbounded.
+    once, so the early stop changes the search tree, never the facet set;
+    a clique reported twice raises RuntimeError.  Refuses graphs above the
+    vertex budget rather than running unbounded.
     """
     n = graph.vertex_count
     if n > BRUTE_FORCE_VERTEX_BUDGET:
@@ -305,7 +306,10 @@ def brute_force_facets(graph: Graph, source: str = "bron-kerbosch") -> FacetSet:
             excluded |= bit
 
     expand(0, (1 << n) - 1, 0)
-    return FacetSet(facets=frozenset(out), source=source)
+    facets = frozenset(out)
+    if len(facets) != len(out):
+        raise RuntimeError(f"Bron-Kerbosch reported {len(out) - len(facets)} repeated cliques")
+    return FacetSet(facets=facets, source=source)
 
 
 def is_maximal_clique(graph: Graph, simplex: Sequence[int]) -> bool:

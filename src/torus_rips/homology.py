@@ -3,17 +3,17 @@
 One reducer serves both rings, the way Ripser is parameterised by its
 coefficient modulus: the coboundary matrices are reduced from dimension 0
 upward with a pivot map and clearing, entries taken mod 2 over GF(2) and kept
-exact over the integers.  Simplices are keyed by the bitmask of their
-vertices, and each coboundary column is generated on demand from the graph's
-adjacency bitmasks, so no boundary matrix or face index is built.  Over the
-integers a dimension that meets a pivot other than +/-1 goes to a sparse
-Smith normal form, which eliminates on unit entries first and finishes any
-leftover core densely.  All arithmetic is exact arbitrary-precision integers,
-so overflow cannot occur and torsion is read off the invariant factors.
+exact over the integers.  Simplices are the vertex bitmasks of
+``FlagComplex.keys``, and each coboundary column is generated on demand from
+the graph's adjacency bitmasks, so no tuple, boundary matrix or face index is
+built.  Over the integers a dimension that meets a pivot other than +/-1 goes
+to a sparse Smith normal form, which eliminates on unit entries first and
+finishes any leftover core densely.  All arithmetic is on Python ints, so
+overflow cannot occur and torsion is read off the invariant factors.
 
 ``boundary_matrix``, ``signed_boundary_columns`` and ``gf2_rank`` build and
-reduce boundary matrices in the homology direction; the library does not call
-them, and the tests use them as the reference.
+reduce boundary matrices in the homology direction from the vertex tuples;
+the library does not call them, and the tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .complexes import FlagComplex, euler_characteristic
 from .errors import BudgetError, TruncatedComplexError
@@ -311,21 +311,18 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
     return sorted(chain)
 
 
-def _keys_and_cofaces(cx: FlagComplex, d: int) -> Iterator[tuple[int, int]]:
-    """(key, common) for each d-simplex, in order.
+def _common_neighbours(masks: Sequence[int], key: int) -> int:
+    """AND of the adjacency masks of the vertices in key.
 
-    key is the bitmask of the simplex's vertices; common has a bit for each
-    vertex adjacent to all of them, so each coface is key | (1 << v) for a
-    bit v of common.
+    It has a bit for each vertex adjacent to all of them, so each coface of
+    the simplex key is key | (1 << v) for a bit v of the result.
     """
-    masks = cx.graph.masks
-    for sigma in cx.simplices[d]:
-        key = 0
-        common = -1
-        for v in sigma:
-            key |= 1 << v
-            common &= masks[v]
-        yield key, common
+    common = -1
+    while key:
+        v = key.bit_length() - 1
+        common &= masks[v]
+        key ^= 1 << v
+    return common
 
 
 def _signed_column(key: int, common: int) -> dict[int, int]:
@@ -373,11 +370,15 @@ def _coboundary_invariants(
     dimension up.
     """
     ring = "GF(2)" if modulus == 2 else "integer"
+    masks = cx.graph.masks
     pivots: dict[int, tuple[int, int] | dict[int, int]] = {}
-    for j, (key, common) in enumerate(_keys_and_cofaces(cx, d)):
+    for j, key in enumerate(cx.keys[d]):
         if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during {ring} reduction at column {j}")
-        if not common or key in cleared_rows:
+        if key in cleared_rows:
+            continue
+        common = _common_neighbours(masks, key)
+        if not common:
             continue
         low = key | (1 << (common.bit_length() - 1))
         if low not in pivots:
@@ -420,12 +421,13 @@ def _coboundary_smith(
     cx: FlagComplex, d: int, cleared_rows: frozenset[int], deadline: float | None
 ) -> tuple[int, tuple[int, ...]]:
     """``smith_invariants`` of the uncleared coboundary columns of dimension d."""
-    row_index = {key: i for i, (key, _) in enumerate(_keys_and_cofaces(cx, d + 1))}
-    columns = [
-        {row_index[r]: v for r, v in _signed_column(key, common).items()}
-        for key, common in _keys_and_cofaces(cx, d)
-        if key not in cleared_rows
-    ]
+    masks = cx.graph.masks
+    row_index = {key: i for i, key in enumerate(cx.keys[d + 1])}
+    columns = []
+    for key in cx.keys[d]:
+        if key not in cleared_rows:
+            column = _signed_column(key, _common_neighbours(masks, key))
+            columns.append({row_index[r]: v for r, v in column.items()})
     return smith_invariants(cx.counts[d + 1], columns, deadline)
 
 

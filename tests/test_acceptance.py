@@ -12,6 +12,7 @@ import random
 import time
 
 import torus_rips as tr
+from torus_rips.complexes import iter_bits
 from torus_rips.homology import signed_boundary_columns, smith_invariants
 
 FIVE_MINUTES = 300.0
@@ -275,7 +276,7 @@ def test_criterion_7_structural_property_battery():
             return x
 
         for u in range(graph.vertex_count):
-            for v in graph.neighbors[u]:
+            for v in iter_bits(graph.masks[u]):
                 parent[find(u)] = find(v)
         components = len({find(v) for v in range(graph.vertex_count)})
         cx = tr.enumerate_simplices(graph, 1)

@@ -8,7 +8,6 @@ import random
 import pytest
 
 import torus_rips as tr
-from torus_rips.complexes import iter_bits
 
 
 def torus_cx(n, k, depth):
@@ -105,11 +104,7 @@ class TestAntipodeCheck:
         # so the missing partners form a directed 4-cycle, not a matching.
         n = 4
         masks = tuple(((1 << n) - 1) & ~(1 << v) & ~(1 << (v + 1) % n) for v in range(n))
-        graph = tr.Graph(
-            vertex_count=n,
-            neighbors=tuple(tuple(iter_bits(m)) for m in masks),
-            masks=masks,
-        )
+        graph = tr.Graph(vertex_count=n, masks=masks)
         assert all(graph.degree(v) == n - 2 for v in range(n))
         report = tr.antipode_check(graph)
         assert not report.is_antipode

@@ -44,6 +44,18 @@ def matrix_space(rows, label):
     )
 
 
+def random_graph_space(n, density, seed):
+    """Distance 1 on the edges of a seeded random graph, 2 elsewhere.
+
+    Its scale-1 graph is the random graph itself.
+    """
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        rows[u][v] = rows[v][u] = 1 if rng.random() < density else 2
+    return matrix_space(rows, f"random graph {n} {density} {seed}")
+
+
 @st.composite
 def weighted_graph_spaces(draw):
     """Shortest-path metric of a random connected graph with weights 1 to 5."""
@@ -91,7 +103,7 @@ cycles = st.builds(tr.cycle_space, st.integers(min_value=3, max_value=16))
 class TestGraph:
     def test_from_edges(self):
         g = tr.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-        assert g.neighbors == ((1, 2), (0, 2), (0, 1), ())
+        assert g.masks == (0b110, 0b101, 0b011, 0)
         assert g.degree(0) == 2
         assert g.degree(3) == 0
         assert g.has_edge(0, 2)
@@ -99,10 +111,11 @@ class TestGraph:
         assert g.edge_count() == 3
         assert not g.is_complete()
 
-    def test_masks_match_neighbors(self):
+    def test_degrees_are_mask_popcounts(self):
         g = tr.Graph.from_edges(5, [(0, 4), (1, 3), (2, 4)])
-        for v in range(5):
-            assert tuple(iter_bits(g.masks[v])) == g.neighbors[v]
+        popcounts = [bin(m).count("1") for m in g.masks]
+        assert [g.degree(v) for v in range(5)] == popcounts == [1, 1, 1, 1, 2]
+        assert g.edge_count() == sum(popcounts) // 2 == 3
 
     def test_complete_graph(self):
         edges = itertools.combinations(range(5), 2)
@@ -152,7 +165,6 @@ class TestVrGraph:
             want = all_pairs_vr_graph(space, k)
             assert got.vertex_count == n
             assert got.masks == want.masks
-            assert got.neighbors == tuple(tuple(iter_bits(m)) for m in want.masks)
 
     def test_measures_few_pairs(self):
         # A fall back to measuring every pair would make N(N - 1)/2 calls.
@@ -187,17 +199,30 @@ class TestEnumerateSimplices:
             (tr.cycle_space(7), 2),
             (tr.cycle_space(9), 3),
             (tr.torus_space(4), 2),
+            (random_graph_space(12, 0.5, 1), 1),
+            (random_graph_space(11, 0.75, 2), 1),
+            (random_graph_space(10, 0.9, 3), 1),
         ],
     )
     def test_matches_brute_force_cliques(self, space, k):
         graph = tr.vr_graph(space, k)
         cx = tr.enumerate_simplices(graph, 4)
-        got = {
-            frozenset(sigma)
-            for layer in cx.simplices
-            for sigma in layer
-        }
-        assert got == clique_oracle(graph, 5)
+        for keys, layer in zip(cx.keys, cx.simplices):
+            assert len(keys) == len(layer)
+            for key, sigma in zip(keys, layer):
+                assert key == sum(1 << v for v in sigma)
+            assert all(a < b for a, b in zip(layer, layer[1:]))
+        got = {frozenset(sigma) for layer in cx.simplices for sigma in layer}
+        cliques = clique_oracle(graph, 6)
+        assert got == {c for c in cliques if len(c) <= 5}
+        sizes = [sum(len(c) == d + 1 for c in cliques) for d in range(6)]
+        assert cx.counts == tuple(c for c in sizes[:5] if c)
+        assert cx.complete == (sizes[5] == 0)
+        for d in range(len(cx.counts)):
+            through = sum(sizes[: d + 1])
+            with pytest.raises(SimplexBudgetError) as info:
+                tr.enumerate_simplices(graph, 4, budget=through - 1)
+            assert info.value.dim == d
 
     def test_cross_polytope_counts(self):
         # At one below its diameter the 4x4 torus grid drops only antipodal

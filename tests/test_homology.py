@@ -12,6 +12,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import torus_rips as tr
+from torus_rips.complexes import iter_bits
 from torus_rips.errors import BudgetError, TruncatedComplexError
 from torus_rips.homology import signed_boundary_columns, smith_invariants
 
@@ -52,7 +53,7 @@ def component_count(graph):
         return x
 
     for u in range(graph.vertex_count):
-        for v in graph.neighbors[u]:
+        for v in iter_bits(graph.masks[u]):
             parent[find(u)] = find(v)
     return len({find(v) for v in range(graph.vertex_count)})
 
@@ -116,8 +117,8 @@ def relabelled_torus_complexes(draw):
     graph = tr.vr_graph(tr.torus_space(n), k)
     perm = list(range(graph.vertex_count))
     random.Random(seed).shuffle(perm)
-    edges = [(perm[u], perm[v]) for u in range(graph.vertex_count) for v in graph.neighbors[u]
-             if u < v]
+    edges = [(perm[u], perm[v]) for u in range(graph.vertex_count)
+             for v in iter_bits(graph.masks[u]) if u < v]
     cx = tr.enumerate_simplices(tr.Graph.from_edges(graph.vertex_count, edges), 8)
     return cx, cx.top_dim
 
@@ -508,6 +509,33 @@ class TestHomologyInteger:
         cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 2)
         with pytest.raises(TruncatedComplexError):
             tr.homology_integer(cx, 2)
+
+
+def test_reducers_never_read_vertex_tuples(monkeypatch):
+    # Both rings reduce FlagComplex.keys alone, the integer Smith normal form
+    # fallback included; the tuple view serves listings and the references.
+    torus_cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
+    want_gf2 = homology_direction_betti(torus_cx, 2)
+    want_integer = homology_direction_integer(torus_cx, 2)
+    graph = projective_plane_subdivision()
+    rp2_cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+    want_rp2 = homology_direction_integer(rp2_cx, 2)
+    assert want_rp2 == ((1, 0, 0), ((), (2,), ()))
+
+    def refuse(cx):
+        raise AssertionError("a reducer read FlagComplex.simplices")
+
+    monkeypatch.setattr(tr.FlagComplex, "simplices", property(refuse))
+    with pytest.raises(AssertionError):
+        rp2_cx.simplices
+    gf2, _ = tr.compute_profile(tr.torus_space(5), 2, tr.RunConfig(max_dim=2))
+    assert gf2.betti == want_gf2
+    integer, _ = tr.compute_profile(
+        tr.torus_space(5), 2, tr.RunConfig(coefficients="integer", max_dim=2)
+    )
+    assert (integer.betti, integer.torsion) == want_integer
+    rp2 = tr.homology_integer(rp2_cx, 2)
+    assert (rp2.betti, rp2.torsion) == want_rp2
 
 
 class TestExpectedCycleProfile:
