@@ -50,7 +50,6 @@ from .facets import (
     z2_facets_in_window,
 )
 from .homology import (
-    DEFAULT_SNF_COLUMN_BUDGET,
     BettiProfile,
     SparseBitMatrix,
     betti_gf2,
@@ -92,7 +91,6 @@ __all__ = [
     "BudgetError",
     "ConnectivityCertificate",
     "DEFAULT_SIMPLEX_BUDGET",
-    "DEFAULT_SNF_COLUMN_BUDGET",
     "CyclePoint",
     "DiamondCenter",
     "FacetSet",

@@ -19,7 +19,6 @@ from .facets import (
     torus_facets,
     z2_facets_in_window,
 )
-from .homology import DEFAULT_SNF_COLUMN_BUDGET
 from .pipeline import (
     RunConfig,
     build_space,
@@ -94,26 +93,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         coefficients=getattr(args, "coefficients", "gf2"),
         max_dim=getattr(args, "max_dim", None),
         simplex_budget=budget if budget > 0 else None,
-        snf_column_budget=args.snf_budget,
         time_budget_secs=time_budget,
     )
 
 
 def _payload(
-    kind: str, start: float, args: argparse.Namespace, config: RunConfig, **fields: object
+    kind: str,
+    start: float,
+    args: argparse.Namespace,
+    config: Optional[RunConfig],
+    **fields: object,
 ) -> dict:
-    """A result payload: kind, version, the fields, elapsed time and config."""
-    return {
+    """A result payload: kind, version, the fields, elapsed time and any config."""
+    payload = {
         "kind": kind,
         "version": __version__,
         **fields,
         "wall_time_ms": None if args.no_timing else int((time.monotonic() - start) * 1000),
-        "config": {
-            "simplex_budget": config.simplex_budget,
-            "snf_column_budget": config.snf_column_budget,
-            "format": args.format,
-        },
     }
+    if config is not None:
+        payload["config"] = {"simplex_budget": config.simplex_budget, "format": args.format}
+    return payload
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
@@ -169,7 +169,6 @@ def _facet_oracle(args: argparse.Namespace):
 
 
 def cmd_facets(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     start = time.monotonic()
     space_label = (
         args.window.label if args.space == "window" else f"{args.space} {args.n}"
@@ -182,7 +181,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
         only_catalog, only_oracle = catalog.symmetric_difference(oracle)
         identical = not only_catalog and not only_oracle
         payload = _payload(
-            "facets-compare", start, args, config,
+            "facets-compare", start, args, None,
             space=space_label,
             n=args.n,
             k=args.k,
@@ -199,7 +198,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
     facets = sorted(facet_set.facets)
     if args.format == "json":
         payload = _payload(
-            "facets-list", start, args, config,
+            "facets-list", start, args, None,
             space=space_label,
             n=args.n,
             k=args.k,
@@ -262,10 +261,6 @@ def cmd_verify_table(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    if args.space != "torus":
-        return _error(
-            "validation", "certify currently supports --space torus only", EXIT_VALIDATION
-        )
     config = _config_from_args(args)
     start = time.monotonic()
     fp, profile, antipode, conn = certify_torus(args.n, args.k, config)
@@ -299,16 +294,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if fp.consistent else EXIT_MISMATCH
 
 
+def _add_no_timing(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--no-timing", action="store_true",
+                        help="omit wall_time_ms so output is byte-identical across runs")
+
+
 def _add_common(parser: argparse.ArgumentParser, *, coefficients: bool = True) -> None:
     parser.add_argument("--budget", type=int, default=None,
                         help="simplex budget (0 disables; default from SIMPLEX_BUDGET or "
                              f"{DEFAULT_SIMPLEX_BUDGET})")
-    parser.add_argument("--snf-budget", type=int, default=DEFAULT_SNF_COLUMN_BUDGET,
-                        help="per-dimension simplex-count cap for integer homology")
     parser.add_argument("--time-budget", type=float, default=None,
                         help="wall-clock budget in seconds (default from TIME_BUDGET_SECS)")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="omit wall_time_ms so output is byte-identical across runs")
+    _add_no_timing(parser)
     if coefficients:
         parser.add_argument("--coefficients", choices=["gf2", "integer"], default="gf2")
 
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_facets.add_argument("--mode", choices=["closed-form", "brute", "compare"],
                           default="closed-form")
     p_facets.add_argument("--format", choices=["text", "json"], default="text")
-    _add_common(p_facets, coefficients=False)
+    _add_no_timing(p_facets)
     p_facets.set_defaults(func=cmd_facets)
 
     p_verify = sub.add_parser("verify-table", help="run the golden homology table")
@@ -359,16 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify, coefficients=False)
     p_verify.set_defaults(func=cmd_verify_table)
 
-    p_certify = sub.add_parser("certify", help="certificates and fingerprint for one complex")
-    p_certify.add_argument("--space", choices=["torus"], default="torus")
+    p_certify = sub.add_parser("certify",
+                               help="certificates and fingerprint for one torus complex")
     p_certify.add_argument("--n", type=int, required=True)
     p_certify.add_argument("--k", type=int, required=True)
     p_certify.add_argument("--max-dim", type=_parse_max_dim, default=None,
                            help="profile depth; defaults to the expected regime depth, "
                                "'full' enumerates the whole complex")
-    p_certify.add_argument("--format", choices=["json"], default="json")
     _add_common(p_certify)
-    p_certify.set_defaults(func=cmd_certify)
+    p_certify.set_defaults(func=cmd_certify, format="json")
     return parser
 
 

@@ -96,7 +96,7 @@ def _admissible_parities(k: int) -> tuple[tuple[int, int], ...]:
     return ((0, 1), (1, 0))
 
 
-def z2_facets_in_window(window: Window, k: int, source: str = "plane closed form") -> FacetSet:
+def z2_facets_in_window(window: Window, k: int) -> FacetSet:
     """Interior facets of the scale-k complex of a lattice window.
 
     Only facets lying at least ceil(k/2) away from the window boundary are
@@ -125,7 +125,7 @@ def z2_facets_in_window(window: Window, k: int, source: str = "plane closed form
             points = z2_facet(DiamondCenter(HalfIntegerPoint(x2, y2), k))
             if all(ix_lo <= p.x <= ix_hi and iy_lo <= p.y <= iy_hi for p in points):
                 facets.add(tuple(sorted(window.index(p) for p in points)))
-    return FacetSet(facets=frozenset(facets), source=source)
+    return FacetSet(facets=frozenset(facets), source="plane closed form")
 
 
 def in_window_interior(window: Window, k: int, simplex: Sequence[int]) -> bool:
@@ -139,6 +139,25 @@ def in_window_interior(window: Window, k: int, simplex: Sequence[int]) -> bool:
         ):
             return False
     return True
+
+
+def _axis_facets(n: int, k: int) -> set[Simplex] | None:
+    """Facets of the scale-k complex of the n-cycle other than its arcs.
+
+    Empty for n > 3k; the rotations of the offsets (0, k, 2k) for n = 3k
+    with k >= 2, and of (0, k, 2k - 1, 2k) for n = 3k - 1 with k >= 3, as
+    ascending tuples; None in every other regime.  The torus catalog lays
+    each of them along every row and every column.
+    """
+    if n > 3 * k:
+        return set()
+    if n == 3 * k and k >= 2:
+        offsets = (0, k, 2 * k)
+    elif n == 3 * k - 1 and k >= 3:
+        offsets = (0, k, 2 * k - 1, 2 * k)
+    else:
+        return None
+    return {tuple(sorted((i + o) % n for o in offsets)) for i in range(n)}
 
 
 def cycle_facets(n: int, k: int) -> FacetSet:
@@ -155,25 +174,14 @@ def cycle_facets(n: int, k: int) -> FacetSet:
     if k < 1:
         raise ValueError(f"scale must be at least 1, got {k}")
 
-    facets: set[Simplex] = set()
-    if n > 3 * k:
-        pass
-    elif n == 3 * k and k >= 2:
-        for i in range(n):
-            facets.add(tuple(sorted({i, (i + k) % n, (i + 2 * k) % n})))
-    elif n == 3 * k - 1 and k >= 3:
-        for i in range(n):
-            facets.add(
-                tuple(sorted({i, (i + k) % n, (i + 2 * k - 1) % n, (i + 2 * k) % n}))
-            )
-    else:
+    extras = _axis_facets(n, k)
+    if extras is None:
         raise UnsupportedRegimeError(
             f"no closed-form cycle facet catalog for n={n}, k={k}; "
             "supported: n > 3k, n = 3k with k >= 2, n = 3k - 1 with k >= 3"
         )
-    for i in range(n):
-        facets.add(tuple(sorted((i + j) % n for j in range(k + 1))))
-    return FacetSet(facets=frozenset(facets), source="cycle closed form")
+    arcs = {tuple(sorted((i + j) % n for j in range(k + 1))) for i in range(n)}
+    return FacetSet(facets=frozenset(arcs | extras), source="cycle closed form")
 
 
 def project_facet(points: Iterable[LatticePoint | tuple[int, int]], n: int) -> Simplex:
@@ -210,28 +218,6 @@ def _projected_torus_facets(n: int, k: int) -> set[Simplex]:
     return facets
 
 
-def _axis_triples(n: int, k: int) -> set[Simplex]:
-    """Equally spaced triples along a row or a column of the 3k-by-3k torus."""
-    facets: set[Simplex] = set()
-    for a in range(n):
-        rows = sorted({a % n, (a + k) % n, (a + 2 * k) % n})
-        for b in range(n):
-            facets.add(tuple(sorted(r * n + b for r in rows)))
-            facets.add(tuple(sorted(b * n + r for r in rows)))
-    return facets
-
-
-def _axis_tetrahedra(n: int, k: int) -> set[Simplex]:
-    """Near-equally-spaced 4-point sets along a row or a column, n = 3k - 1."""
-    facets: set[Simplex] = set()
-    for a in range(n):
-        rows = sorted({a, (a + k) % n, (a + 2 * k - 1) % n, (a + 2 * k) % n})
-        for b in range(n):
-            facets.add(tuple(sorted(r * n + b for r in rows)))
-            facets.add(tuple(sorted(b * n + r for r in rows)))
-    return facets
-
-
 def torus_facets(n: int, k: int) -> FacetSet:
     """Facets of the scale-k complex of the n-by-n torus grid, by closed form.
 
@@ -245,18 +231,18 @@ def torus_facets(n: int, k: int) -> FacetSet:
     if k < 1:
         raise ValueError(f"scale must be at least 1, got {k}")
 
-    if n > 3 * k and k >= 2:
-        extras: set[Simplex] = set()
-    elif n == 3 * k and k >= 2:
-        extras = _axis_triples(n, k)
-    elif n == 3 * k - 1 and k >= 3:
-        extras = _axis_tetrahedra(n, k)
-    else:
+    axis = _axis_facets(n, k)
+    if axis is None or k < 2:
         raise UnsupportedRegimeError(
             f"no closed-form torus facet catalog for n={n}, k={k}; "
             "supported: n > 3k (k >= 2), n = 3k (k >= 2), n = 3k - 1 (k >= 3)"
         )
-    facets = _projected_torus_facets(n, k) | extras
+    facets = _projected_torus_facets(n, k)
+    for line in axis:
+        for b in range(n):
+            # line is ascending, so both vertex lists are too.
+            facets.add(tuple(r * n + b for r in line))
+            facets.add(tuple(b * n + r for r in line))
     return FacetSet(facets=frozenset(facets), source="torus closed form")
 
 

@@ -25,12 +25,7 @@ from .complexes import (
     vr_graph,
 )
 from .errors import BudgetError
-from .homology import (
-    DEFAULT_SNF_COLUMN_BUDGET,
-    BettiProfile,
-    betti_gf2,
-    homology_integer,
-)
+from .homology import BettiProfile, betti_gf2, homology_integer
 from .spaces import FiniteMetricSpace, Window, cycle_space, torus_space, window_space
 
 
@@ -41,7 +36,6 @@ class RunConfig:
     coefficients: str = "gf2"
     max_dim: Optional[int] = None  # None means enumerate the whole complex
     simplex_budget: Optional[int] = DEFAULT_SIMPLEX_BUDGET
-    snf_column_budget: Optional[int] = DEFAULT_SNF_COLUMN_BUDGET
     time_budget_secs: Optional[float] = None
 
     def deadline(self) -> Optional[float]:
@@ -104,9 +98,7 @@ def compute_profile(
     cx = enumerate_simplices(graph, cap, budget=config.simplex_budget, deadline=deadline)
     report_dim = cx.top_dim if max_dim is None else max_dim
     if config.coefficients == "integer":
-        profile = homology_integer(
-            cx, report_dim, column_budget=config.snf_column_budget, deadline=deadline
-        )
+        profile = homology_integer(cx, report_dim, deadline=deadline)
     elif config.coefficients == "gf2":
         profile = betti_gf2(cx, report_dim, deadline=deadline)
     else:

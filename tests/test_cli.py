@@ -349,6 +349,18 @@ class TestParser:
         code, _, _ = run_cli(capsys, "betti", "--space", "torus", "--n", "7", "--k", "2")
         assert code == 2
 
+    def test_removed_budget_flags_rejected(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "betti", "--space", "torus", "--n", "7", "--k", "2",
+            "--max-dim", "2", "--snf-budget", "10",
+        )
+        assert code == 2
+        code, _, _ = run_cli(
+            capsys, "facets", "--space", "torus", "--n", "7", "--k", "2",
+            "--budget", "10",
+        )
+        assert code == 2
+
     def test_negative_max_dim_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys, "betti", "--space", "torus", "--n", "7", "--k", "2",

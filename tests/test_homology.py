@@ -432,6 +432,7 @@ class TestHomologyInteger:
         for space, k, depth in [
             (tr.torus_space(5), 2, 3),
             (tr.cycle_space(9), 3, 3),
+            (tr.torus_space(12), 5, 3),
         ]:
             cx = tr.enumerate_simplices(tr.vr_graph(space, k), depth)
             a = tr.betti_gf2(cx, depth - 1)
@@ -439,15 +440,31 @@ class TestHomologyInteger:
             assert all(t == () for t in b.torsion)
             assert a.betti == b.betti
 
-    def test_column_budget(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
-        with pytest.raises(BudgetError, match="Smith normal form budget"):
-            tr.homology_integer(cx, 2, column_budget=10)
-        # The lowest dimension over the cap is named, before any reduction.
-        over = cx.counts[2] - 1
-        assert cx.counts[1] <= over
-        with pytest.raises(BudgetError, match=rf"dimension 2 has {cx.counts[2]} columns"):
-            tr.homology_integer(cx, 2, column_budget=over, deadline=time.monotonic() - 1.0)
+    def test_smith_fallback_limits(self, monkeypatch):
+        # The Smith fallback refuses a dimension with too many uncleared
+        # columns before it builds one, and a dense core with too many entries.
+        graph = projective_plane_subdivision()
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        # The unit pivots of dimension 0 clear one edge per spanning-tree edge.
+        uncleared = cx.counts[1] - (cx.counts[0] - 1)
+        calls = []
+        smith = tr.homology.smith_invariants
+
+        def spy(n_rows, columns, deadline=None):
+            calls.append(len(columns))
+            return smith(n_rows, columns, deadline)
+
+        monkeypatch.setattr(tr.homology, "smith_invariants", spy)
+        monkeypatch.setattr(tr.homology, "_SMITH_COLUMN_LIMIT", uncleared - 1)
+        with pytest.raises(BudgetError, match=rf"dimension 1 needs {uncleared} columns"):
+            tr.homology_integer(cx, 2)
+        assert calls == []
+
+        monkeypatch.setattr(tr.homology, "_SMITH_COLUMN_LIMIT", uncleared)
+        monkeypatch.setattr(tr.homology, "_DENSE_CORE_LIMIT", 0)
+        with pytest.raises(BudgetError, match=r"dense Smith normal form core of 1 x 1"):
+            tr.homology_integer(cx, 2)
+        assert calls == [uncleared]
 
     def test_projective_plane_subdivision_torsion(self, monkeypatch):
         # H_1 = Z/2 has an invariant factor 2, which no reduction on unit

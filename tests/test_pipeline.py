@@ -16,7 +16,6 @@ class TestRunConfig:
         assert config.coefficients == "gf2"
         assert config.max_dim is None
         assert config.simplex_budget == tr.DEFAULT_SIMPLEX_BUDGET
-        assert config.snf_column_budget == tr.DEFAULT_SNF_COLUMN_BUDGET
         assert config.deadline() is None
 
     def test_deadline(self):
