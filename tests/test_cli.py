@@ -3,6 +3,7 @@
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -367,3 +368,20 @@ class TestParser:
             "--max-dim", "-1",
         )
         assert code == 2
+
+
+FIXTURE_DIR = Path(__file__).parent / "data" / "cli"
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem
+)
+def test_output_matches_fixture(capsys, monkeypatch, fixture):
+    """Stdout, stderr and exit code of a --no-timing run equal the stored bytes."""
+    monkeypatch.delenv("SIMPLEX_BUDGET", raising=False)
+    monkeypatch.delenv("TIME_BUDGET_SECS", raising=False)
+    expected = json.loads(fixture.read_text(encoding="utf-8"))
+    code, out, err = run_cli(capsys, *expected["argv"])
+    assert out == expected["stdout"]
+    assert err == expected["stderr"]
+    assert code == expected["exit_code"]
