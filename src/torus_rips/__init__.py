@@ -29,7 +29,6 @@ from .complexes import (
     format_simplex_lines,
     read_simplex_list,
     vr_graph,
-    write_simplex_list,
 )
 from .errors import (
     BudgetError,
@@ -69,18 +68,11 @@ from .pipeline import (
     run_golden_row,
 )
 from .spaces import (
-    CyclePoint,
     FiniteMetricSpace,
     HalfIntegerPoint,
     LatticePoint,
-    TorusPoint,
     Window,
-    closed_ball,
-    cycle_distance,
     cycle_space,
-    reduce_mod,
-    torus_diameter,
-    torus_distance,
     torus_space,
     window_space,
 )
@@ -91,7 +83,6 @@ __all__ = [
     "BudgetError",
     "ConnectivityCertificate",
     "DEFAULT_SIMPLEX_BUDGET",
-    "CyclePoint",
     "DiamondCenter",
     "FacetSet",
     "Fingerprint",
@@ -105,7 +96,6 @@ __all__ = [
     "Simplex",
     "SimplexBudgetError",
     "SparseBitMatrix",
-    "TorusPoint",
     "TruncatedComplexError",
     "UnsupportedRegimeError",
     "Window",
@@ -115,10 +105,8 @@ __all__ = [
     "brute_force_facets",
     "build_space",
     "certify_torus",
-    "closed_ball",
     "compute_profile",
     "connectivity_bound",
-    "cycle_distance",
     "cycle_facets",
     "cycle_space",
     "enumerate_simplices",
@@ -134,16 +122,12 @@ __all__ = [
     "load_golden_table",
     "project_facet",
     "read_simplex_list",
-    "reduce_mod",
     "run_golden_row",
     "smith_invariants",
-    "torus_diameter",
-    "torus_distance",
     "torus_facets",
     "torus_space",
     "vr_graph",
     "window_space",
-    "write_simplex_list",
     "z2_facet",
     "z2_facets_in_window",
 ]

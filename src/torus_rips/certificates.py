@@ -11,14 +11,10 @@ in one dimension pins down a wedge of spheres.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .complexes import Graph
 from .homology import BettiProfile
-
-EXHAUSTIVE_MAX_K = 1
-EXHAUSTIVE_MAX_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,8 @@ class ConnectivityCertificate:
 
     ``certified_k`` = -1 means even pairwise intersection could not be
     certified.  A certificate at k >= 1 implies the complex is simply
-    connected.
+    connected.  ``method`` is always ``"counting"``, the one way the bound
+    is computed.
     """
 
     scale: int
@@ -73,68 +70,30 @@ class ConnectivityCertificate:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _counting_certified(size: int, min_ball: int, k: int) -> bool:
-    return size - (2 * k + 2) * (size - min_ball) >= 1
-
-
-def connectivity_bound(
-    graph: Graph, r: int, max_k: int, method: str = "counting"
-) -> ConnectivityCertificate:
+def connectivity_bound(graph: Graph, r: int, max_k: int) -> ConnectivityCertificate:
     """Certify k-connectivity of the scale-r complex through ball intersections.
 
     ``graph`` is the scale-r graph of the space, ``vr_graph(space, r)``.  In
     a metric space distance 0 holds only on the diagonal, so the closed ball
     of radius r around v is the closed neighbourhood of v in that graph: its
-    size is degree + 1 and its bitmask ``masks[v] | 1 << v``.  The counting
-    method uses only the minimum closed-ball size b: any 2k + 2 balls must
-    overlap when |X| - (2k + 2)(|X| - b) >= 1.  The exhaustive method
-    intersects every choice of 2k + 2 distinct centers and is restricted to
-    k <= 1 and at most 100 points.  Both walk k upward from 0 and report the
-    last success, so the result is monotone by construction.
+    size is degree + 1.  The certificate counts: with b the minimum
+    closed-ball size, any 2k + 2 balls must overlap when
+    |X| - (2k + 2)(|X| - b) >= 1.  It walks k upward from 0 to ``max_k`` and
+    reports the last success, so the result is monotone by construction.
     """
     if max_k < 0:
         raise ValueError(f"max_k must be nonnegative, got {max_k}")
-    if method not in ("counting", "exhaustive"):
-        raise ValueError(f"unknown method {method!r}")
 
     size = graph.vertex_count
     min_ball = min(map(int.bit_count, graph.masks)) + 1
-    detail = {"min_ball": min_ball, "points": size}
-
-    if method == "counting":
-        certified = -1
-        for k in range(max_k + 1):
-            if not _counting_certified(size, min_ball, k):
-                break
-            certified = k
-        return ConnectivityCertificate(r, "counting", certified, detail)
-
-    if max_k > EXHAUSTIVE_MAX_K:
-        raise ValueError(
-            f"exhaustive method limited to max_k <= {EXHAUSTIVE_MAX_K}, got {max_k}"
-        )
-    if size > EXHAUSTIVE_MAX_POINTS:
-        raise ValueError(
-            f"exhaustive method limited to {EXHAUSTIVE_MAX_POINTS} points, space has {size}"
-        )
-    balls = [m | 1 << v for v, m in enumerate(graph.masks)]
     certified = -1
     for k in range(max_k + 1):
-        tuple_size = min(2 * k + 2, size)
-        ok = True
-        for centers in combinations(range(size), tuple_size):
-            inter = balls[centers[0]]
-            for c in centers[1:]:
-                inter &= balls[c]
-                if inter == 0:
-                    break
-            if inter == 0:
-                ok = False
-                break
-        if not ok:
+        if size - (2 * k + 2) * (size - min_ball) < 1:
             break
         certified = k
-    return ConnectivityCertificate(r, "exhaustive", certified, detail)
+    return ConnectivityCertificate(
+        r, "counting", certified, {"min_ball": min_ball, "points": size}
+    )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -13,6 +14,7 @@ from . import __version__
 from .complexes import DEFAULT_SIMPLEX_BUDGET, format_simplex_lines, vr_graph
 from .errors import BudgetError, UnsupportedRegimeError
 from .facets import (
+    FacetSet,
     brute_force_facets,
     cycle_facets,
     in_window_interior,
@@ -27,7 +29,7 @@ from .pipeline import (
     load_golden_table,
     run_golden_row,
 )
-from .spaces import Window
+from .spaces import FiniteMetricSpace, Window
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -122,10 +124,11 @@ def cmd_betti(args: argparse.Namespace) -> int:
     space = build_space(args.space, n=args.n, window=args.window)
     profile, _ = compute_profile(space, args.k, config)
     if args.format == "csv":
-        writer = sys.stdout
-        writer.write("n,k,dim,betti,coefficients,source\n")
+        # csv quotes the comma in a window label and writes n=None as empty.
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["n", "k", "dim", "betti", "coefficients", "source"])
         for d, b in enumerate(profile.betti):
-            writer.write(f"{args.n},{args.k},{d},{b},{profile.coefficients},{space.label}\n")
+            writer.writerow([args.n, args.k, d, b, profile.coefficients, space.label])
         return EXIT_OK
     max_dim = config.max_dim if config.max_dim is not None else len(profile.betti) - 1
     payload = _payload(
@@ -154,35 +157,30 @@ def _facet_catalog(args: argparse.Namespace):
     raise ValueError(f"unknown space kind {args.space!r}")
 
 
-def _facet_oracle(args: argparse.Namespace):
-    space = build_space(args.space, n=args.n, window=args.window)
-    graph = vr_graph(space, args.k)
-    facets = brute_force_facets(graph)
+def _facet_oracle(args: argparse.Namespace, space: FiniteMetricSpace) -> FacetSet:
+    facets = brute_force_facets(vr_graph(space, args.k))
     if args.space == "window":
         # Cliques clipped by the window edge are not facets of the full
         # plane; only the interior ones are comparable to the catalog.
-        interior = frozenset(
+        return FacetSet(frozenset(
             f for f in facets.facets if in_window_interior(args.window, args.k, f)
-        )
-        return type(facets)(facets=interior, source=facets.source + " (interior)")
+        ))
     return facets
 
 
 def cmd_facets(args: argparse.Namespace) -> int:
     start = time.monotonic()
-    space_label = (
-        args.window.label if args.space == "window" else f"{args.space} {args.n}"
-    )
-    header = {"space": space_label, "n": args.n, "k": args.k}
+    space = build_space(args.space, n=args.n, window=args.window)
+    header = {"space": space.label, "n": args.n, "k": args.k}
 
     if args.mode == "compare":
         catalog = _facet_catalog(args)
-        oracle = _facet_oracle(args)
+        oracle = _facet_oracle(args, space)
         only_catalog, only_oracle = catalog.symmetric_difference(oracle)
         identical = not only_catalog and not only_oracle
         payload = _payload(
             "facets-compare", start, args, None,
-            space=space_label,
+            space=space.label,
             n=args.n,
             k=args.k,
             closed_form_count=len(catalog),
@@ -194,12 +192,14 @@ def cmd_facets(args: argparse.Namespace) -> int:
         _emit(payload, sys.stdout)
         return EXIT_OK if identical else EXIT_MISMATCH
 
-    facet_set = _facet_catalog(args) if args.mode == "closed-form" else _facet_oracle(args)
+    facet_set = (
+        _facet_catalog(args) if args.mode == "closed-form" else _facet_oracle(args, space)
+    )
     facets = sorted(facet_set.facets)
     if args.format == "json":
         payload = _payload(
             "facets-list", start, args, None,
-            space=space_label,
+            space=space.label,
             n=args.n,
             k=args.k,
             mode=args.mode,

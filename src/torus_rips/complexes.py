@@ -287,12 +287,6 @@ def format_simplex_lines(
     return "\n".join(lines) + "\n"
 
 
-def write_simplex_list(
-    f: TextIO, simplices: Iterable[Simplex], header: dict[str, object] | None = None
-) -> None:
-    f.write(format_simplex_lines(simplices, header))
-
-
 def read_simplex_list(f: TextIO) -> tuple[dict[str, str], list[Simplex]]:
     """Parse the text format back into a header dict and a simplex list."""
     header: dict[str, str] = {}

@@ -21,10 +21,9 @@ BRUTE_FORCE_VERTEX_BUDGET = 2000
 
 @dataclass(frozen=True)
 class FacetSet:
-    """An immutable set of facets plus a note on how it was produced."""
+    """An immutable set of facets, iterated in sorted order."""
 
     facets: frozenset[Simplex]
-    source: str
 
     def __len__(self) -> int:
         return len(self.facets)
@@ -125,7 +124,7 @@ def z2_facets_in_window(window: Window, k: int) -> FacetSet:
             points = z2_facet(DiamondCenter(HalfIntegerPoint(x2, y2), k))
             if all(ix_lo <= p.x <= ix_hi and iy_lo <= p.y <= iy_hi for p in points):
                 facets.add(tuple(sorted(window.index(p) for p in points)))
-    return FacetSet(facets=frozenset(facets), source="plane closed form")
+    return FacetSet(facets=frozenset(facets))
 
 
 def in_window_interior(window: Window, k: int, simplex: Sequence[int]) -> bool:
@@ -181,7 +180,7 @@ def cycle_facets(n: int, k: int) -> FacetSet:
             "supported: n > 3k, n = 3k with k >= 2, n = 3k - 1 with k >= 3"
         )
     arcs = {tuple(sorted((i + j) % n for j in range(k + 1))) for i in range(n)}
-    return FacetSet(facets=frozenset(arcs | extras), source="cycle closed form")
+    return FacetSet(facets=frozenset(arcs | extras))
 
 
 def project_facet(points: Iterable[LatticePoint | tuple[int, int]], n: int) -> Simplex:
@@ -243,10 +242,10 @@ def torus_facets(n: int, k: int) -> FacetSet:
             # line is ascending, so both vertex lists are too.
             facets.add(tuple(r * n + b for r in line))
             facets.add(tuple(b * n + r for r in line))
-    return FacetSet(facets=frozenset(facets), source="torus closed form")
+    return FacetSet(facets=frozenset(facets))
 
 
-def brute_force_facets(graph: Graph, source: str = "bron-kerbosch") -> FacetSet:
+def brute_force_facets(graph: Graph) -> FacetSet:
     """All maximal cliques of a graph via Bron-Kerbosch with pivoting.
 
     Deterministic: the pivot scan walks the candidates and excluded vertices
@@ -295,7 +294,7 @@ def brute_force_facets(graph: Graph, source: str = "bron-kerbosch") -> FacetSet:
     facets = frozenset(out)
     if len(facets) != len(out):
         raise RuntimeError(f"Bron-Kerbosch reported {len(out) - len(facets)} repeated cliques")
-    return FacetSet(facets=facets, source=source)
+    return FacetSet(facets=facets)
 
 
 def is_maximal_clique(graph: Graph, simplex: Sequence[int]) -> bool:

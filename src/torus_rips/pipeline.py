@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -37,6 +38,12 @@ class RunConfig:
     max_dim: Optional[int] = None  # None means enumerate the whole complex
     simplex_budget: Optional[int] = DEFAULT_SIMPLEX_BUDGET
     time_budget_secs: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # A NaN deadline never compares as passed, so it would bound nothing.
+        t = self.time_budget_secs
+        if t is not None and not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"time budget must be a finite number >= 0, got {t}")
 
     def deadline(self) -> Optional[float]:
         if self.time_budget_secs is None:
@@ -133,7 +140,7 @@ def certify_torus(
     deadline = config.deadline()
     graph = vr_graph(space, k)
     antipode = antipode_check(graph)
-    conn = connectivity_bound(graph, k, max_k=1, method="counting")
+    conn = connectivity_bound(graph, k, max_k=1)
 
     profile: Optional[BettiProfile] = None
     if antipode.is_antipode:
@@ -181,28 +188,47 @@ class GoldenRow:
 
 
 def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
-    """Load the golden homology table from the packaged data file or a path."""
+    """Load the golden homology table from the packaged data file or a path.
+
+    A file that cannot be read or parsed, or a row that lacks a required
+    key or is not an object, raises ValueError naming the file (and the row
+    index).
+    """
     if path is None:
+        path = "packaged golden_table.json"
         text = resources.files("torus_rips.data").joinpath("golden_table.json").read_text()
     else:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    raw = json.loads(text)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read golden table {path}: {exc.strerror}") from exc
+    try:
+        entries = json.loads(text)["rows"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"golden table {path} is not a JSON object with a 'rows' list: {exc}"
+        ) from exc
     rows = []
-    for entry in raw["rows"]:
-        rows.append(
-            GoldenRow(
-                space=entry["space"],
-                n=entry["n"],
-                k=entry["k"],
-                coefficients=entry.get("coefficients", "gf2"),
-                max_dim=entry["max_dim"],
-                expected={int(d): b for d, b in entry["expected"].items()},
-                source=entry["source"],
-                skip=entry.get("skip", False),
-                skip_reason=entry.get("skip_reason", ""),
+    for i, entry in enumerate(entries):
+        try:
+            rows.append(
+                GoldenRow(
+                    space=entry["space"],
+                    n=entry["n"],
+                    k=entry["k"],
+                    coefficients=entry.get("coefficients", "gf2"),
+                    max_dim=entry["max_dim"],
+                    expected={int(d): b for d, b in entry["expected"].items()},
+                    source=entry["source"],
+                    skip=entry.get("skip", False),
+                    skip_reason=entry.get("skip_reason", ""),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"golden table {path}: row {i} lacks key {exc.args[0]!r}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"golden table {path}: row {i} is malformed: {exc}") from exc
     return rows
 
 

@@ -1,7 +1,10 @@
 """Finite metric spaces: cycles, square torus grids, and lattice windows.
 
-Every distance in this module is an exact nonnegative integer; nothing here
-touches floating point.  Ball centers with half-integer coordinates are
+Each space has exactly one distance, the closure that ``cycle_space``,
+``torus_space`` or ``window_space`` returns in its ``FiniteMetricSpace``;
+everything downstream (scale graphs, balls, certificates) reads that one.
+Every distance is an exact nonnegative integer; nothing here touches
+floating point.  Facet centers with half-integer coordinates are
 represented in doubled coordinates (see :class:`HalfIntegerPoint`).
 """
 
@@ -9,19 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
-
-
-class CyclePoint(NamedTuple):
-    """A vertex of the n-point cycle, addressed by its index."""
-
-    index: int
-
-
-class TorusPoint(NamedTuple):
-    """A vertex of the n-by-n torus grid; both coordinates reduced mod n."""
-
-    row: int
-    col: int
 
 
 class LatticePoint(NamedTuple):
@@ -41,10 +31,6 @@ class HalfIntegerPoint(NamedTuple):
 
     x2: int
     y2: int
-
-    @property
-    def is_lattice(self) -> bool:
-        return self.x2 % 2 == 0 and self.y2 % 2 == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,46 +56,10 @@ class FiniteMetricSpace:
             raise ValueError(f"point_count must be positive, got {self.point_count}")
 
 
-def _check_cycle_args(n: int, *indices: int) -> None:
-    if n < 3:
-        raise ValueError(f"cycle length must be at least 3, got {n}")
-    for i in indices:
-        if not 0 <= i < n:
-            raise ValueError(f"vertex index {i} out of range for cycle of length {n}")
-
-
-def cycle_distance(n: int, i: int, j: int) -> int:
-    """Hop distance between vertices i and j on the n-cycle."""
-    _check_cycle_args(n, i, j)
-    d = abs(i - j)
-    return min(d, n - d)
-
-
-def torus_distance(n: int, p: TorusPoint | tuple[int, int], q: TorusPoint | tuple[int, int]) -> int:
-    """L1 distance on the n-by-n torus grid: sum of two cycle distances."""
-    pr, pc = p
-    qr, qc = q
-    return cycle_distance(n, pr, qr) + cycle_distance(n, pc, qc)
-
-
-def torus_diameter(n: int) -> int:
-    """Largest distance realized on the n-by-n torus grid: n for even n, n - 1 for odd."""
-    if n < 3:
-        raise ValueError(f"torus side must be at least 3, got {n}")
-    return n if n % 2 == 0 else n - 1
-
-
-def reduce_mod(n: int, p: LatticePoint | tuple[int, int]) -> TorusPoint:
-    """Project a plane point onto the torus grid by reducing both coordinates mod n."""
-    if n < 3:
-        raise ValueError(f"torus side must be at least 3, got {n}")
-    x, y = p
-    return TorusPoint(x % n, y % n)
-
-
 def cycle_space(n: int) -> FiniteMetricSpace:
     """The n-point cycle with hop metric; vertex index equals cycle position."""
-    _check_cycle_args(n)
+    if n < 3:
+        raise ValueError(f"cycle length must be at least 3, got {n}")
 
     def dist(i: int, j: int) -> int:
         d = abs(i - j)
@@ -196,22 +146,3 @@ def window_space(window: Window) -> FiniteMetricSpace:
     return FiniteMetricSpace(
         point_count=window.width * window.height, distance=dist, label=window.label
     )
-
-
-def closed_ball(space: FiniteMetricSpace, center: int, r: int) -> list[int]:
-    """Sorted vertex indices at distance <= r from the center.
-
-    Args:
-        space: any finite metric space from this module.
-        center: vertex index of the ball center.
-        r: nonnegative radius.
-
-    Returns:
-        Ascending list of indices, always including the center itself.
-    """
-    if not 0 <= center < space.point_count:
-        raise ValueError(f"center {center} out of range for {space.label}")
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    dist = space.distance
-    return [v for v in range(space.point_count) if dist(center, v) <= r]

@@ -35,9 +35,14 @@ def missing_partner_pairs(graph):
 
 
 def closed_ball_certificate(space, r, max_k, method):
-    """certified_k and the minimum ball size, from closed_ball around every centre."""
+    """certified_k and the minimum ball size, from balls built with space.distance.
+
+    ``counting`` applies the counting bound to the minimum ball size;
+    ``exhaustive`` intersects the balls around every choice of 2k + 2
+    distinct centres, the exact answer the counting bound can only undercut.
+    """
     size = space.point_count
-    balls = [tr.closed_ball(space, v, r) for v in range(size)]
+    balls = [[u for u in range(size) if space.distance(v, u) <= r] for v in range(size)]
     min_ball = min(map(len, balls))
     masks = [sum(1 << u for u in ball) for ball in balls]
     certified = -1
@@ -148,29 +153,27 @@ class TestConnectivityBound:
         assert cert.certified_k == 0
 
     def test_exhaustive_agrees_with_counting_when_counting_wins(self):
-        graph = tr.vr_graph(tr.torus_space(5), 3)
-        counting = tr.connectivity_bound(graph, 3, max_k=1)
-        exhaustive = tr.connectivity_bound(graph, 3, max_k=1, method="exhaustive")
+        space = tr.torus_space(5)
+        counting = tr.connectivity_bound(tr.vr_graph(space, 3), 3, max_k=1)
         assert counting.certified_k == 1
-        assert exhaustive.certified_k == 1
+        assert closed_ball_certificate(space, 3, 1, "exhaustive")[0] == 1
 
     def test_exhaustive_finds_disjoint_pair(self):
         # At scale 1 on the 4x4 torus grid, balls around an antipodal pair
         # are disjoint, so even pairwise intersection fails.
-        graph = tr.vr_graph(tr.torus_space(4), 1)
-        counting = tr.connectivity_bound(graph, 1, max_k=1)
-        exhaustive = tr.connectivity_bound(graph, 1, max_k=1, method="exhaustive")
+        space = tr.torus_space(4)
+        counting = tr.connectivity_bound(tr.vr_graph(space, 1), 1, max_k=1)
         assert counting.certified_k == -1
-        assert exhaustive.certified_k == -1
+        assert closed_ball_certificate(space, 1, 1, "exhaustive")[0] == -1
 
     def test_counting_never_beats_exhaustive(self):
         # The counting bound is sound, so the exhaustive answer can only be
         # larger or equal wherever both run.
         for n, r in [(4, 1), (4, 2), (5, 2), (5, 3), (6, 3)]:
-            graph = tr.vr_graph(tr.torus_space(n), r)
-            counting = tr.connectivity_bound(graph, r, max_k=1)
-            exhaustive = tr.connectivity_bound(graph, r, max_k=1, method="exhaustive")
-            assert counting.certified_k <= exhaustive.certified_k
+            space = tr.torus_space(n)
+            counting = tr.connectivity_bound(tr.vr_graph(space, r), r, max_k=1)
+            exhaustive, _ = closed_ball_certificate(space, r, 1, "exhaustive")
+            assert counting.certified_k <= exhaustive
 
     @pytest.mark.parametrize(
         "space",
@@ -190,24 +193,15 @@ class TestConnectivityBound:
         n = space.point_count
         diameter = max(space.distance(u, v) for u in range(n) for v in range(n))
         for r in range(diameter + 1):
-            graph = tr.vr_graph(space, r)
-            for method in ("counting", "exhaustive"):
-                cert = tr.connectivity_bound(graph, r, max_k=1, method=method)
-                want = closed_ball_certificate(space, r, 1, method)
-                assert (cert.certified_k, cert.detail["min_ball"]) == want
+            cert = tr.connectivity_bound(tr.vr_graph(space, r), r, max_k=1)
+            want = closed_ball_certificate(space, r, 1, "counting")
+            assert (cert.certified_k, cert.detail["min_ball"]) == want
+            assert cert.method == "counting"
 
     def test_validation(self):
         graph = tr.vr_graph(tr.torus_space(4), 1)
         with pytest.raises(ValueError):
             tr.connectivity_bound(graph, 1, max_k=-1)
-        with pytest.raises(ValueError):
-            tr.connectivity_bound(graph, 1, max_k=1, method="guess")
-        with pytest.raises(ValueError):
-            tr.connectivity_bound(graph, 1, max_k=2, method="exhaustive")
-        with pytest.raises(ValueError):
-            tr.connectivity_bound(
-                tr.vr_graph(tr.torus_space(11), 1), 1, max_k=1, method="exhaustive"
-            )
 
 
 class TestExpectedTorusProfile:

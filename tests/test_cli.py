@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: output schema, exit codes, formats."""
 
+import csv
 import io
 import json
 from importlib import resources
@@ -82,6 +83,19 @@ class TestBettiCommand:
         assert payload["betti"] == [1, 16]
         assert payload["euler"] == -15
 
+    def test_window_csv_parses_to_six_fields(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "betti", "--space", "window", "--window=0:4,0:4", "--k", "2",
+            "--max-dim", "2", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "k", "dim", "betti", "coefficients", "source"]
+        assert len(rows) == 4
+        for dim, row in enumerate(rows[1:]):
+            assert row[:3] == ["", "2", str(dim)]
+            assert row[4:] == ["gf2", "window 0:4,0:4"]
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "betti", "--space", "cycle", "--n", "6", "--k", "2",
@@ -141,6 +155,26 @@ class TestBettiCommand:
         )
         assert code == 3
         assert read_error(err)["error"] == "budget"
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_time_budget_that_bounds_nothing_is_rejected(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
+            "--max-dim", "3", f"--time-budget={value}",
+        )
+        assert (code, out) == (2, "")
+        payload = read_error(err)
+        assert payload["error"] == "validation"
+        assert "time budget" in payload["message"]
+
+    def test_time_budget_env_nan_is_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("TIME_BUDGET_SECS", "nan")
+        code, _, err = run_cli(
+            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
+            "--max-dim", "3",
+        )
+        assert code == 2
+        assert read_error(err)["error"] == "validation"
 
 
 class TestFacetsCommand:
@@ -205,11 +239,22 @@ class TestFacetsCommand:
         assert payload["error"] == "unsupported-regime"
         assert "supported" in payload["message"]
 
+    @pytest.mark.parametrize("space", ["torus", "cycle", "window"])
+    def test_missing_size_is_validation_error(self, capsys, space):
+        # --n for cycles and tori, --window for windows.
+        code, out, err = run_cli(capsys, "facets", "--space", space, "--k", "3")
+        assert (code, out) == (2, "")
+        assert read_error(err)["error"] == "validation"
+
     def test_bad_window_spec(self, capsys):
         code, _, _ = run_cli(
             capsys, "facets", "--space", "window", "--window", "oops", "--k", "2"
         )
         assert code == 2
+
+
+GOLDEN_ROW = {"space": "torus", "n": 3, "k": 1, "max_dim": 1,
+              "expected": {"1": 4}, "source": "unit test"}
 
 
 class TestVerifyTableCommand:
@@ -281,6 +326,38 @@ class TestVerifyTableCommand:
         assert code == 1
         assert payload["failed"] == 1
         assert payload["rows"][0]["status"] == "FAIL"
+
+    def test_missing_golden_file_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run_cli(capsys, "verify-table", "--golden-file", str(path))
+        assert (code, out) == (2, "")
+        payload = read_error(err)
+        assert payload["error"] == "validation"
+        assert str(path) in payload["message"]
+
+    @pytest.mark.parametrize(
+        "text,fragments",
+        [
+            (json.dumps({"rows": [GOLDEN_ROW, {k: v for k, v in GOLDEN_ROW.items()
+                                               if k != "max_dim"}]}),
+             ["row 1", "'max_dim'"]),
+            (json.dumps({"table": [GOLDEN_ROW]}), ["'rows'"]),
+            (json.dumps({"rows": [["torus", 3, 1]]}), ["row 0", "malformed"]),
+            ("{not json", ["not a JSON object"]),
+        ],
+        ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json"],
+    )
+    def test_malformed_golden_table_is_validation_error(
+        self, capsys, tmp_path, text, fragments
+    ):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify-table", "--golden-file", str(path))
+        assert (code, out) == (2, "")
+        payload = read_error(err)
+        assert payload["error"] == "validation"
+        for fragment in [str(path)] + fragments:
+            assert fragment in payload["message"]
 
     def test_json_no_timing_is_byte_deterministic(self, capsys):
         argv = ("verify-table", "--n", "5:6", "--format", "json", "--no-timing")

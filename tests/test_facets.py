@@ -11,8 +11,8 @@ import torus_rips as tr
 from torus_rips.errors import BudgetError, UnsupportedRegimeError
 
 
-def oracle_for(space, k, source="oracle"):
-    return tr.brute_force_facets(tr.vr_graph(space, k), source=source)
+def oracle_for(space, k):
+    return tr.brute_force_facets(tr.vr_graph(space, k))
 
 
 class TestDiamondCenter:
@@ -139,11 +139,12 @@ class TestCycleFacets:
 
     def test_facets_are_maximal_and_within_scale(self):
         n, k = 9, 3
-        graph = tr.vr_graph(tr.cycle_space(n), k)
+        space = tr.cycle_space(n)
+        graph = tr.vr_graph(space, k)
         for f in tr.cycle_facets(n, k):
             assert tr.is_maximal_clique(graph, f)
             for u, v in itertools.combinations(f, 2):
-                assert tr.cycle_distance(n, u, v) <= k
+                assert space.distance(u, v) <= k
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (4, 2), (6, 3), (7, 3)])
     def test_unsupported_regimes(self, n, k):
@@ -162,7 +163,6 @@ class TestTorusFacets:
         got = tr.torus_facets(7, 2)
         assert len(got) == 98
         assert {len(f) for f in got} == {4, 5}
-        assert got.source == "torus closed form"
 
     def test_triple_regime_count(self):
         got = tr.torus_facets(6, 2)
@@ -240,11 +240,6 @@ class TestBruteForceFacets:
         with pytest.raises(BudgetError):
             tr.brute_force_facets(g)
 
-    def test_source_label(self):
-        g = tr.Graph.from_edges(2, [(0, 1)])
-        assert tr.brute_force_facets(g).source == "bron-kerbosch"
-        assert tr.brute_force_facets(g, source="check").source == "check"
-
     @given(random_graphs())
     @settings(deadline=None, max_examples=150)
     def test_matches_maximal_enumerated_cliques(self, graph):
@@ -273,13 +268,13 @@ class TestIsMaximalClique:
 
 class TestFacetSet:
     def test_iteration_sorted(self):
-        fs = tr.FacetSet(facets=frozenset({(2, 3), (0, 1)}), source="s")
+        fs = tr.FacetSet(facets=frozenset({(2, 3), (0, 1)}))
         assert list(fs) == [(0, 1), (2, 3)]
         assert len(fs) == 2
 
     def test_symmetric_difference(self):
-        a = tr.FacetSet(facets=frozenset({(0, 1), (2, 3)}), source="a")
-        b = tr.FacetSet(facets=frozenset({(2, 3), (4, 5)}), source="b")
+        a = tr.FacetSet(facets=frozenset({(0, 1), (2, 3)}))
+        b = tr.FacetSet(facets=frozenset({(2, 3), (4, 5)}))
         only_a, only_b = a.symmetric_difference(b)
         assert only_a == [(0, 1)]
         assert only_b == [(4, 5)]

@@ -24,6 +24,12 @@ class TestRunConfig:
         assert deadline is not None
         assert 59.0 < deadline - time.monotonic() <= 60.0
 
+    @pytest.mark.parametrize("secs", [float("nan"), float("inf"), -1.0])
+    def test_rejects_time_budget_that_bounds_nothing(self, secs):
+        # monotonic() + nan never compares as passed, so the run would be unbounded.
+        with pytest.raises(ValueError, match="time budget"):
+            tr.RunConfig(time_budget_secs=secs)
+
 
 class TestBuildSpace:
     def test_dispatch(self):

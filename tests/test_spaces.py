@@ -3,25 +3,47 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import torus_rips as tr
 
 
+def torus_pair_distance(n, p, q):
+    """Torus distance between (row, col) pairs, through the space's vertex index."""
+    return tr.torus_space(n).distance(p[0] * n + p[1], q[0] * n + q[1])
+
+
+def closed_ball_sizes(space, r):
+    """Closed-ball size around every centre, read off the scale-r graph.
+
+    Each closed neighbourhood mask is checked against the ball computed here
+    from ``space.distance`` by a scan over every point.
+    """
+    graph = tr.vr_graph(space, r)
+    sizes = []
+    for c in range(space.point_count):
+        ball = [v for v in range(space.point_count) if space.distance(c, v) <= r]
+        assert graph.masks[c] | 1 << c == sum(1 << v for v in ball)
+        sizes.append(graph.masks[c].bit_count() + 1)
+    return sizes
+
+
 class TestCycleDistance:
     def test_small_examples(self):
-        assert tr.cycle_distance(6, 0, 0) == 0
-        assert tr.cycle_distance(6, 0, 1) == 1
-        assert tr.cycle_distance(6, 0, 3) == 3
-        assert tr.cycle_distance(6, 0, 4) == 2
-        assert tr.cycle_distance(6, 1, 5) == 2
-        assert tr.cycle_distance(7, 0, 4) == 3
+        d6 = tr.cycle_space(6).distance
+        assert d6(0, 0) == 0
+        assert d6(0, 1) == 1
+        assert d6(0, 3) == 3
+        assert d6(0, 4) == 2
+        assert d6(1, 5) == 2
+        assert tr.cycle_space(7).distance(0, 4) == 3
 
     def test_identity_of_indiscernibles(self):
         for n in (3, 4, 9):
+            dist = tr.cycle_space(n).distance
             for i, j in itertools.product(range(n), repeat=2):
-                assert (tr.cycle_distance(n, i, j) == 0) == (i == j)
+                assert (dist(i, j) == 0) == (i == j)
 
     @given(st.integers(min_value=3, max_value=500),
            st.integers(min_value=0, max_value=499),
@@ -29,44 +51,38 @@ class TestCycleDistance:
     def test_symmetry_and_range(self, n, i, j):
         i %= n
         j %= n
-        d = tr.cycle_distance(n, i, j)
-        assert d == tr.cycle_distance(n, j, i)
+        dist = tr.cycle_space(n).distance
+        d = dist(i, j)
+        assert d == dist(j, i)
         assert 0 <= d <= n // 2
 
     def test_triangle_inequality_exhaustive(self):
         for n in range(3, 9):
+            dist = tr.cycle_space(n).distance
             for i, j, m in itertools.product(range(n), repeat=3):
-                assert (tr.cycle_distance(n, i, m)
-                        <= tr.cycle_distance(n, i, j) + tr.cycle_distance(n, j, m))
+                assert dist(i, m) <= dist(i, j) + dist(j, m)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            tr.cycle_distance(2, 0, 1)
-        with pytest.raises(ValueError):
-            tr.cycle_distance(5, 0, 5)
-        with pytest.raises(ValueError):
-            tr.cycle_distance(5, -1, 0)
+        for n in (2, 1, 0, -3):
+            with pytest.raises(ValueError):
+                tr.cycle_space(n)
 
 
 class TestTorusDistance:
     def test_small_examples(self):
-        assert tr.torus_distance(4, (0, 0), (0, 0)) == 0
-        assert tr.torus_distance(4, (0, 0), (1, 1)) == 2
-        assert tr.torus_distance(4, (0, 0), (2, 2)) == 4
-        assert tr.torus_distance(4, (0, 1), (3, 0)) == 2
-        assert tr.torus_distance(5, (0, 0), (2, 2)) == 4
-        assert tr.torus_distance(5, (1, 2), (1, 2)) == 0
+        assert torus_pair_distance(4, (0, 0), (0, 0)) == 0
+        assert torus_pair_distance(4, (0, 0), (1, 1)) == 2
+        assert torus_pair_distance(4, (0, 0), (2, 2)) == 4
+        assert torus_pair_distance(4, (0, 1), (3, 0)) == 2
+        assert torus_pair_distance(5, (0, 0), (2, 2)) == 4
+        assert torus_pair_distance(5, (1, 2), (1, 2)) == 0
 
     def test_diameter(self):
-        assert tr.torus_diameter(4) == 4
-        assert tr.torus_diameter(5) == 4
-        assert tr.torus_diameter(6) == 6
-        assert tr.torus_diameter(7) == 6
-        for n in range(3, 10):
-            diam = tr.torus_diameter(n)
+        # n for even n, n - 1 for odd n: half the side along each axis.
+        for n, diam in [(3, 2), (4, 4), (5, 4), (6, 6), (7, 6), (8, 8), (9, 8)]:
             dist = tr.torus_space(n).distance
-            realized = max(dist(0, v) for v in range(n * n))
-            assert realized == diam
+            points = range(n * n)
+            assert max(dist(u, v) for u in points for v in points) == diam
 
     def test_quotient_metric_identity(self):
         # The torus distance between projected points equals the minimum of
@@ -90,12 +106,18 @@ class TestTorusDistance:
             dist = tr.torus_space(n).distance
             for u, v in itertools.product(range(n * n), repeat=2):
                 assert dist(u, v) == dist(v, u)
+                assert (dist(u, v) == 0) == (u == v)
+
+    def test_triangle_inequality_exhaustive(self):
+        for n in (3, 4, 5):
+            dist = tr.torus_space(n).distance
+            for u, v, w in itertools.product(range(n * n), repeat=3):
+                assert dist(u, w) <= dist(u, v) + dist(v, w)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            tr.torus_distance(5, (0, 0), (5, 0))
-        with pytest.raises(ValueError):
-            tr.torus_distance(2, (0, 0), (1, 1))
+        for n in (2, 1, 0, -3):
+            with pytest.raises(ValueError):
+                tr.torus_space(n)
 
 
 class TestSpaces:
@@ -151,39 +173,34 @@ class TestClosedBall:
         # l1 balls in a torus big enough that no wraparound overlap occurs:
         # |B(r)| = 2r^2 + 2r + 1.
         space = tr.torus_space(11)
-        assert len(tr.closed_ball(space, 0, 3)) == 25
-        assert len(tr.closed_ball(space, 0, 4)) == 41
+        assert set(closed_ball_sizes(space, 3)) == {25}
+        assert set(closed_ball_sizes(space, 4)) == {41}
 
     def test_key_wraparound_sizes(self):
         # These two ball counts drive the counting connectivity bound for
         # the 5x5 torus at scale 3 and the 7x7 torus at scale 4.
-        assert len(tr.closed_ball(tr.torus_space(5), 0, 3)) == 21
-        assert len(tr.closed_ball(tr.torus_space(7), 0, 4)) == 37
-        assert len(tr.closed_ball(tr.torus_space(7), 0, 2)) == 13
+        assert set(closed_ball_sizes(tr.torus_space(5), 3)) == {21}
+        assert set(closed_ball_sizes(tr.torus_space(7), 4)) == {37}
+        assert set(closed_ball_sizes(tr.torus_space(7), 2)) == {13}
 
     def test_center_independence(self):
         # Vertex-transitivity: the ball size cannot depend on the center.
         for n in range(3, 11):
             space = tr.torus_space(n)
-            for r in range(0, tr.torus_diameter(n) + 1):
-                sizes = {len(tr.closed_ball(space, c, r))
-                         for c in range(space.point_count)}
-                assert len(sizes) == 1
+            for r in range(0, n + 1):
+                assert len(set(closed_ball_sizes(space, r))) == 1
 
     def test_radius_zero_and_diameter(self):
         space = tr.torus_space(4)
-        assert tr.closed_ball(space, 5, 0) == [5]
-        assert len(tr.closed_ball(space, 5, tr.torus_diameter(4))) == 16
-
-
-def test_reduce_mod():
-    assert tr.reduce_mod(5, (7, -1)) == tr.TorusPoint(2, 4)
-    assert tr.reduce_mod(5, (-5, 10)) == tr.TorusPoint(0, 0)
-    assert tr.reduce_mod(3, tr.LatticePoint(9, 4)) == tr.TorusPoint(0, 1)
-    with pytest.raises(ValueError):
-        tr.reduce_mod(2, (0, 0))
+        assert tr.vr_graph(space, 0).masks[5] == 0
+        assert closed_ball_sizes(space, 0)[5] == 1
+        assert closed_ball_sizes(space, 4)[5] == 16
 
 
 def test_half_integer_point():
-    assert tr.HalfIntegerPoint(4, 6).is_lattice
-    assert not tr.HalfIntegerPoint(3, 6).is_lattice
+    # (3, 6) in doubled coordinates is the plane point (3/2, 3).
+    p = tr.HalfIntegerPoint(3, 6)
+    assert (p.x2, p.y2) == (3, 6)
+    x2, y2 = p
+    assert (x2 / 2, y2 / 2) == (1.5, 3.0)
+    assert p == (3, 6)
