@@ -37,15 +37,12 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .facets import (
-    DiamondCenter,
     FacetSet,
     brute_force_facets,
     cycle_facets,
     in_window_interior,
     is_maximal_clique,
-    project_facet,
     torus_facets,
-    z2_facet,
     z2_facets_in_window,
 )
 from .homology import (
@@ -69,7 +66,6 @@ from .pipeline import (
 )
 from .spaces import (
     FiniteMetricSpace,
-    HalfIntegerPoint,
     LatticePoint,
     Window,
     cycle_space,
@@ -83,14 +79,12 @@ __all__ = [
     "BudgetError",
     "ConnectivityCertificate",
     "DEFAULT_SIMPLEX_BUDGET",
-    "DiamondCenter",
     "FacetSet",
     "Fingerprint",
     "FiniteMetricSpace",
     "FlagComplex",
     "GoldenRow",
     "Graph",
-    "HalfIntegerPoint",
     "LatticePoint",
     "RunConfig",
     "Simplex",
@@ -120,7 +114,6 @@ __all__ = [
     "in_window_interior",
     "is_maximal_clique",
     "load_golden_table",
-    "project_facet",
     "read_simplex_list",
     "run_golden_row",
     "smith_invariants",
@@ -128,6 +121,5 @@ __all__ = [
     "torus_space",
     "vr_graph",
     "window_space",
-    "z2_facet",
     "z2_facets_in_window",
 ]

@@ -143,12 +143,19 @@ def expected_torus_profile(n: int, k: int) -> Optional[tuple[str, tuple[int, ...
 def _wedge_license(
     profile: Optional[BettiProfile], conn: Optional[ConnectivityCertificate]
 ) -> Optional[tuple[int, int]]:
-    """Dimension and sphere count when the connectivity certificate applies."""
+    """Dimension and sphere count when the connectivity certificate applies.
+
+    It applies to a simply connected complex whose integer profile covers
+    the whole complex, is torsion-free, and is concentrated in one
+    dimension d >= 2.
+    """
     if profile is None or conn is None:
         return None
     if profile.coefficients != "integer" or conn.certified_k < 1:
         return None
-    if any(profile.torsion):
+    # A truncated profile says nothing about the dimensions it did not
+    # reach, so homology there could break the concentration.
+    if profile.truncated_at is not None or any(profile.torsion):
         return None
     if profile.betti_at(0) != 1:
         return None
@@ -156,8 +163,6 @@ def _wedge_license(
     if len(nonzero) != 1 or nonzero[0] < 2:
         return None
     d = nonzero[0]
-    if not profile.covers(d):
-        return None
     return d, profile.betti[d]
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
 from . import __version__
@@ -26,6 +27,7 @@ from .pipeline import (
     build_space,
     certify_torus,
     compute_profile,
+    default_certify_depth,
     load_golden_table,
     run_golden_row,
 )
@@ -118,23 +120,29 @@ def _payload(
     return payload
 
 
+def _reported_n(args: argparse.Namespace) -> Optional[int]:
+    """The n a result reports: a window ignores --n, so it has none."""
+    return None if args.space == "window" else args.n
+
+
 def cmd_betti(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     start = time.monotonic()
     space = build_space(args.space, n=args.n, window=args.window)
+    n = _reported_n(args)
     profile, _ = compute_profile(space, args.k, config)
     if args.format == "csv":
         # csv quotes the comma in a window label and writes n=None as empty.
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "k", "dim", "betti", "coefficients", "source"])
         for d, b in enumerate(profile.betti):
-            writer.writerow([args.n, args.k, d, b, profile.coefficients, space.label])
+            writer.writerow([n, args.k, d, b, profile.coefficients, space.label])
         return EXIT_OK
     max_dim = config.max_dim if config.max_dim is not None else len(profile.betti) - 1
     payload = _payload(
         "betti-result", start, args, config,
         space=space.label,
-        n=args.n,
+        n=n,
         k=args.k,
         coefficients=profile.coefficients,
         max_dim=max_dim,
@@ -171,7 +179,8 @@ def _facet_oracle(args: argparse.Namespace, space: FiniteMetricSpace) -> FacetSe
 def cmd_facets(args: argparse.Namespace) -> int:
     start = time.monotonic()
     space = build_space(args.space, n=args.n, window=args.window)
-    header = {"space": space.label, "n": args.n, "k": args.k}
+    n = _reported_n(args)
+    header = {"space": space.label, "n": n, "k": args.k}
 
     if args.mode == "compare":
         catalog = _facet_catalog(args)
@@ -181,7 +190,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
         payload = _payload(
             "facets-compare", start, args, None,
             space=space.label,
-            n=args.n,
+            n=n,
             k=args.k,
             closed_form_count=len(catalog),
             brute_count=len(oracle),
@@ -200,7 +209,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
         payload = _payload(
             "facets-list", start, args, None,
             space=space.label,
-            n=args.n,
+            n=n,
             k=args.k,
             mode=args.mode,
             count=len(facets),
@@ -263,6 +272,16 @@ def cmd_verify_table(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     start = time.monotonic()
+    if "max_dim" not in vars(args) and config.coefficients == "gf2":
+        # GF(2) evidence never certifies a wedge, so the whole complex buys
+        # nothing over the depth of the expected regime profile.
+        max_dim = default_certify_depth(args.n, args.k)
+        if max_dim is None:
+            raise ValueError(
+                f"no expected regime for torus n={args.n}, k={args.k}; "
+                "pass an explicit max_dim"
+            )
+        config = replace(config, max_dim=max_dim)
     fp, profile, antipode, conn = certify_torus(args.n, args.k, config)
     payload = _payload(
         "certify-result", start, args, config,
@@ -360,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
                                help="certificates and fingerprint for one torus complex")
     p_certify.add_argument("--n", type=int, required=True)
     p_certify.add_argument("--k", type=int, required=True)
-    p_certify.add_argument("--max-dim", type=_parse_max_dim, default=None,
-                           help="profile depth; defaults to the expected regime depth, "
-                               "'full' enumerates the whole complex")
+    p_certify.add_argument("--max-dim", type=_parse_max_dim, default=argparse.SUPPRESS,
+                           help="profile depth, or 'full' for the whole complex; "
+                                "defaults to 'full' over the integers and to the "
+                                "expected regime depth over GF(2)")
     _add_common(p_certify)
     p_certify.set_defaults(func=cmd_certify, format="json")
     return parser

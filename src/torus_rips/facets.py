@@ -2,19 +2,22 @@
 
 Facets (maximal simplices) of the scale-k Vietoris-Rips complex have exact
 descriptions for the plane lattice, for cycles away from a few short-cycle
-regimes, and for torus grids in the regimes implemented here.  Each catalog
-returns plain vertex-index simplices so it can be compared verbatim against
-the Bron-Kerbosch oracle.
+regimes, and for torus grids in the regimes implemented here.  Every plane
+facet is an integer translate of one of two fixed point sets per scale (see
+``_diamonds``): the window catalog keeps the translates inside the window's
+interior, and the torus catalog lays both sets at all n * n translates
+mod n.  Each catalog returns plain vertex-index simplices so it can be
+compared verbatim against the Bron-Kerbosch oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .complexes import Graph, Simplex, iter_bits
 from .errors import BudgetError, UnsupportedRegimeError
-from .spaces import HalfIntegerPoint, LatticePoint, Window
+from .spaces import Window
 
 BRUTE_FORCE_VERTEX_BUDGET = 2000
 
@@ -39,60 +42,26 @@ class FacetSet:
         )
 
 
-@dataclass(frozen=True)
-class DiamondCenter:
-    """Center of a plane facet at a given scale, in doubled coordinates.
+def _diamonds(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The two plane facet stencils of scale k, as ascending (dx, dy) offsets.
 
-    The lattice points within L1 distance k/2 of an admissible center form a
-    facet of the scale-k complex of the plane.  Admissibility is a parity
-    condition: for even k both doubled coordinates are even or both odd; for
-    odd k exactly one of them is odd.
+    A plane facet is the set of lattice points within L1 distance k/2 of an
+    admissible center.  In doubled coordinates the admissible centers are
+    the integer translates of two base centers: (0, 0) and (1, 1) for even
+    k, (1, 0) and (0, 1) for odd k.  Each stencil lists the points p with
+    |2 * p.x - cx| + |2 * p.y - cy| <= k for one base center (cx, cy), so
+    every plane facet is an integer translate of one of the two.
     """
-
-    center: HalfIntegerPoint
-    scale: int
-
-    def __post_init__(self) -> None:
-        k = self.scale
-        if k < 1:
-            raise ValueError(f"scale must be at least 1, got {k}")
-        x2, y2 = self.center
-        if k % 2 == 0:
-            if x2 % 2 != y2 % 2:
-                raise ValueError(
-                    f"even scale {k} needs doubled coordinates of equal parity, got {(x2, y2)}"
-                )
-        else:
-            if x2 % 2 == y2 % 2:
-                raise ValueError(
-                    f"odd scale {k} needs exactly one odd doubled coordinate, got {(x2, y2)}"
-                )
-
-
-def z2_facet(center: DiamondCenter) -> tuple[LatticePoint, ...]:
-    """Lattice points within L1 distance scale/2 of the center, ascending.
-
-    In doubled coordinates the membership test for point p is
-    |2*p.x - x2| + |2*p.y - y2| <= scale, which is exact.
-    """
-    x2, y2 = center.center
-    k = center.scale
-    points = []
-    x_lo = -((k - x2) // 2)  # ceil((x2 - k) / 2)
-    x_hi = (x2 + k) // 2
-    for x in range(x_lo, x_hi + 1):
-        slack = k - abs(2 * x - x2)
-        y_lo = -((slack - y2) // 2)
-        y_hi = (y2 + slack) // 2
-        for y in range(y_lo, y_hi + 1):
-            points.append(LatticePoint(x, y))
-    return tuple(sorted(points))
-
-
-def _admissible_parities(k: int) -> tuple[tuple[int, int], ...]:
-    if k % 2 == 0:
-        return ((0, 0), (1, 1))
-    return ((0, 1), (1, 0))
+    centers = ((0, 0), (1, 1)) if k % 2 == 0 else ((1, 0), (0, 1))
+    return tuple(
+        tuple(
+            (x, y)
+            for x in range(-k, k + 1)
+            for y in range(-k, k + 1)
+            if abs(2 * x - cx) + abs(2 * y - cy) <= k
+        )
+        for cx, cy in centers
+    )
 
 
 def z2_facets_in_window(window: Window, k: int) -> FacetSet:
@@ -100,9 +69,10 @@ def z2_facets_in_window(window: Window, k: int) -> FacetSet:
 
     Only facets lying at least ceil(k/2) away from the window boundary are
     returned; everything nearer the edge is truncated by the window and is
-    not a facet of the full plane.  Facets are given as window-index
-    simplices.  The window must be at least 2k + 3 on each side so that an
-    interior region exists.
+    not a facet of the full plane.  They are the translates of the two
+    stencils of ``_diamonds`` that fit inside that interior box, given as
+    window-index simplices.  The window must be at least 2k + 3 on each side
+    so that an interior region exists.
     """
     if k < 1:
         raise ValueError(f"scale must be at least 1, got {k}")
@@ -117,13 +87,12 @@ def z2_facets_in_window(window: Window, k: int) -> FacetSet:
     iy_lo, iy_hi = window.y_min + margin, window.y_max - margin
 
     facets = set()
-    for x2 in range(2 * ix_lo, 2 * ix_hi + 1):
-        for y2 in range(2 * iy_lo, 2 * iy_hi + 1):
-            if (x2 % 2, y2 % 2) not in _admissible_parities(k):
-                continue
-            points = z2_facet(DiamondCenter(HalfIntegerPoint(x2, y2), k))
-            if all(ix_lo <= p.x <= ix_hi and iy_lo <= p.y <= iy_hi for p in points):
-                facets.add(tuple(sorted(window.index(p) for p in points)))
+    for stencil in _diamonds(k):
+        xs = [dx for dx, _ in stencil]
+        ys = [dy for _, dy in stencil]
+        for a in range(ix_lo - min(xs), ix_hi - max(xs) + 1):
+            for b in range(iy_lo - min(ys), iy_hi - max(ys) + 1):
+                facets.add(tuple(sorted(window.index((a + dx, b + dy)) for dx, dy in stencil)))
     return FacetSet(facets=frozenset(facets))
 
 
@@ -183,44 +152,11 @@ def cycle_facets(n: int, k: int) -> FacetSet:
     return FacetSet(facets=frozenset(arcs | extras))
 
 
-def project_facet(points: Iterable[LatticePoint | tuple[int, int]], n: int) -> Simplex:
-    """Project a plane facet onto the n-by-n torus grid, as vertex indices.
-
-    Valid when the torus is wide enough that the projection is injective on
-    the facet (n > 2k + 1 at scale k); a collision raises ValueError.  The
-    lattice x coordinate maps to the torus row, so the index is
-    (x mod n) * n + (y mod n).
-    """
-    pts = list(points)
-    indices = sorted(((x % n) * n + (y % n)) for x, y in pts)
-    if len(set(indices)) != len(pts):
-        raise ValueError(
-            f"projection onto torus side {n} identifies points of the facet; "
-            "the torus is too small for this scale"
-        )
-    return tuple(indices)
-
-
-def _projected_torus_facets(n: int, k: int) -> set[Simplex]:
-    """Projections of one period of plane facets; 2 * n * n distinct facets."""
-    facets: set[Simplex] = set()
-    for x2 in range(2 * n):
-        for y2 in range(2 * n):
-            if (x2 % 2, y2 % 2) not in _admissible_parities(k):
-                continue
-            facets.add(project_facet(z2_facet(DiamondCenter(HalfIntegerPoint(x2, y2), k)), n))
-    if len(facets) != 2 * n * n:
-        raise RuntimeError(
-            f"projected facet family for n={n}, k={k} has {len(facets)} members, "
-            f"expected {2 * n * n}; catalog construction invariant violated"
-        )
-    return facets
-
-
 def torus_facets(n: int, k: int) -> FacetSet:
     """Facets of the scale-k complex of the n-by-n torus grid, by closed form.
 
-    Supported regimes: n > 3k with k >= 2 (projected plane facets only),
+    Supported regimes: n > 3k with k >= 2 (the n * n translates mod n of
+    both plane stencils of ``_diamonds`` only),
     n = 3k with k >= 2 (plus row and column triples), and n = 3k - 1 with
     k >= 3 (plus row and column 4-point sets).  Everything else raises
     UnsupportedRegimeError and must go through the brute-force oracle.
@@ -236,7 +172,22 @@ def torus_facets(n: int, k: int) -> FacetSet:
             f"no closed-form torus facet catalog for n={n}, k={k}; "
             "supported: n > 3k (k >= 2), n = 3k (k >= 2), n = 3k - 1 (k >= 3)"
         )
-    facets = _projected_torus_facets(n, k)
+    facets: set[Simplex] = set()
+    for stencil in _diamonds(k):
+        for a in range(n):
+            for b in range(n):
+                facet = tuple(sorted({((a + dx) % n) * n + (b + dy) % n for dx, dy in stencil}))
+                if len(facet) != len(stencil):
+                    raise RuntimeError(
+                        f"a stencil of scale {k} wraps onto itself on the torus of side {n}; "
+                        "catalog construction invariant violated"
+                    )
+                facets.add(facet)
+    if len(facets) != 2 * n * n:
+        raise RuntimeError(
+            f"translated stencil family for n={n}, k={k} has {len(facets)} members, "
+            f"expected {2 * n * n}; catalog construction invariant violated"
+        )
     for line in axis:
         for b in range(n):
             # line is ascending, so both vertex lists are too.

@@ -28,7 +28,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
 from typing import AbstractSet, Iterable, Sequence
 
 from .complexes import FlagComplex, euler_characteristic
@@ -239,14 +238,18 @@ def smith_invariants(
         for i, r in enumerate(live_rows):
             for c, v in rows[r].items():
                 dense[i][col_pos[c]] = v
-        diagonal = _dense_snf_diagonal(dense, deadline)
-        rank += len(diagonal)
-        factors = _divisibility_chain(diagonal)
+        factors = _dense_snf_diagonal(dense, deadline)
+        rank += len(factors)
     return rank, tuple(f for f in factors if f > 1)
 
 
 def _dense_snf_diagonal(m: list[list[int]], deadline: float | None = None) -> list[int]:
-    """Diagonalize a small dense integer matrix in place; return |diagonal| entries."""
+    """Diagonalize a small dense integer matrix in place; return its diagonal.
+
+    The entries are positive and each divides the next: a pivot is accepted
+    only once it divides every entry left below and right of it, and the
+    later pivots are integer combinations of those entries.
+    """
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     out: list[int] = []
@@ -314,21 +317,6 @@ def _dense_snf_diagonal(m: list[list[int]], deadline: float | None = None) -> li
         if t == n_rows or t == n_cols:
             break
     return out
-
-
-def _divisibility_chain(diagonal: list[int]) -> list[int]:
-    """Normalize positive diagonal entries so each divides the next."""
-    chain = [abs(d) for d in diagonal if d]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                if chain[j] % chain[i]:
-                    g = gcd(chain[i], chain[j])
-                    chain[i], chain[j] = g, chain[i] * chain[j] // g
-                    changed = True
-    return sorted(chain)
 
 
 def _common_neighbours(masks: Sequence[int], key: int) -> int:

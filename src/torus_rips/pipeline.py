@@ -67,18 +67,6 @@ def build_space(kind: str, n: Optional[int] = None, window: Optional[Window] = N
     raise ValueError(f"unknown space kind {kind!r}")
 
 
-def _full_simplex_profile(coefficients: str, max_dim: int) -> BettiProfile:
-    """Profile of a complete-graph complex: a single simplex, so contractible."""
-    betti = (1,) + (0,) * max_dim
-    return BettiProfile(
-        coefficients=coefficients,
-        betti=betti,
-        torsion=tuple(() for _ in betti),
-        euler=1,
-        truncated_at=None,
-    )
-
-
 def compute_profile(
     space: FiniteMetricSpace,
     k: int,
@@ -99,7 +87,14 @@ def compute_profile(
         deadline = config.deadline()
     max_dim = config.max_dim
     if graph.is_complete():
-        return _full_simplex_profile(config.coefficients, max_dim or 0), None
+        betti = (1,) + (0,) * (max_dim or 0)
+        return BettiProfile(
+            coefficients=config.coefficients,
+            betti=betti,
+            torsion=tuple(() for _ in betti),
+            euler=1,
+            truncated_at=None,
+        ), None
 
     cap = (space.point_count - 1) if max_dim is None else max_dim + 1
     cx = enumerate_simplices(graph, cap, budget=config.simplex_budget, deadline=deadline)
@@ -130,9 +125,9 @@ def certify_torus(
 
     The antipodal test and the counting connectivity certificate are always
     computed (both are cheap).  The Betti profile is skipped when the
-    antipodal certificate already pins the homotopy type or when the scale
-    graph is complete; otherwise its depth comes from the config, falling
-    back to the depth of the expected regime profile.
+    antipodal certificate already pins the homotopy type; otherwise it goes
+    to ``config.max_dim``, where None means the whole complex, as in
+    ``compute_profile``.
     """
     space = torus_space(n)
     if not 0 <= k:
@@ -143,19 +138,7 @@ def certify_torus(
     conn = connectivity_bound(graph, k, max_k=1)
 
     profile: Optional[BettiProfile] = None
-    if antipode.is_antipode:
-        pass  # combinatorial certificate; no homology needed
-    elif graph.is_complete():
-        profile = _full_simplex_profile(config.coefficients, 0)
-    else:
-        max_dim = config.max_dim
-        if max_dim is None and config.coefficients != "integer":
-            max_dim = default_certify_depth(n, k)
-            if max_dim is None:
-                raise ValueError(
-                    f"no expected regime for torus n={n}, k={k}; pass an explicit max_dim"
-                )
-            config = replace(config, max_dim=max_dim)
+    if not antipode.is_antipode:
         profile, _ = compute_profile(space, k, config, graph=graph, deadline=deadline)
     fp = fingerprint(profile, antipode, conn, n, k)
     return fp, profile, antipode, conn

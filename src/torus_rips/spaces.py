@@ -4,14 +4,13 @@ Each space has exactly one distance, the closure that ``cycle_space``,
 ``torus_space`` or ``window_space`` returns in its ``FiniteMetricSpace``;
 everything downstream (scale graphs, balls, certificates) reads that one.
 Every distance is an exact nonnegative integer; nothing here touches
-floating point.  Facet centers with half-integer coordinates are
-represented in doubled coordinates (see :class:`HalfIntegerPoint`).
+floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 
 class LatticePoint(NamedTuple):
@@ -19,18 +18,6 @@ class LatticePoint(NamedTuple):
 
     x: int
     y: int
-
-
-class HalfIntegerPoint(NamedTuple):
-    """A plane point with integer or half-integer coordinates, stored doubled.
-
-    The point (x2/2, y2/2) is stored as (x2, y2), so (1, 0) means the actual
-    point (1/2, 0).  Keeping both coordinates doubled lets every comparison
-    stay in integer arithmetic.
-    """
-
-    x2: int
-    y2: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +110,6 @@ class Window:
             raise ValueError(f"index {index} out of range for window {self}")
         dx, dy = divmod(index, self.height)
         return LatticePoint(self.x_min + dx, self.y_min + dy)
-
-    def points(self) -> Iterable[LatticePoint]:
-        for x in range(self.x_min, self.x_max + 1):
-            for y in range(self.y_min, self.y_max + 1):
-                yield LatticePoint(x, y)
 
     @property
     def label(self) -> str:

@@ -98,13 +98,16 @@ def test_criterion_3_integer_homology_and_connectivity_certificates():
     assert fp5.claim == "wedge_S4(9)"
     assert fp5.level == "certified"
 
-    # 7x7 torus at scale 4: H_1 = H_2 = 0 and H_3 free of rank one.
+    # 7x7 torus at scale 4, whole complex: H_3 free of rank one and every
+    # other reduced homology group zero.
     fp7, profile7, antipode7, conn7 = tr.certify_torus(
-        7, 4, tr.RunConfig(coefficients="integer", max_dim=3)
+        7, 4, tr.RunConfig(coefficients="integer")
     )
     assert not antipode7.is_antipode
-    assert profile7.betti == (1, 0, 0, 1)
-    assert profile7.torsion == ((), (), (), ())
+    assert profile7.truncated_at is None
+    assert profile7.betti[:4] == (1, 0, 0, 1)
+    assert all(b == 0 for b in profile7.betti[4:])
+    assert all(t == () for t in profile7.torsion)
     # 49 - 4 * (49 - 37) = 1 >= 1: the tightest counting certificate in use.
     assert conn7.detail["min_ball"] == 37
     assert 49 - 4 * (49 - 37) == 1 >= 1

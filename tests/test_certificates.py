@@ -303,6 +303,7 @@ class TestFingerprint:
             (integer_profile((2, 0, 0, 1)), 1),                      # disconnected
             (integer_profile((1, 0, 1, 1)), 1),                      # two dimensions
             (integer_profile((1, 1)), 1),                            # concentrated too low
+            (integer_profile((1, 0, 0, 1), truncated_at=3), 1),      # truncated
         ],
     )
     def test_wedge_license_blockers(self, profile, conn_k):

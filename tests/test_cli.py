@@ -75,7 +75,7 @@ class TestBettiCommand:
         # A lattice window at scale 1 is a grid graph: no triangles, so the
         # first Betti number counts the 16 unit squares of the 5x5 window.
         code, payload, _ = run_json(
-            capsys, "betti", "--space", "window", "--window=-2:2,-2:2",
+            capsys, "betti", "--space", "window", "--window=-2:2,-2:2", "--n", "5",
             "--k", "1", "--max-dim", "1",
         )
         assert code == 0
@@ -85,8 +85,8 @@ class TestBettiCommand:
 
     def test_window_csv_parses_to_six_fields(self, capsys):
         code, out, _ = run_cli(
-            capsys, "betti", "--space", "window", "--window=0:4,0:4", "--k", "2",
-            "--max-dim", "2", "--format", "csv",
+            capsys, "betti", "--space", "window", "--window=0:4,0:4", "--n", "5",
+            "--k", "2", "--max-dim", "2", "--format", "csv",
         )
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
@@ -229,6 +229,18 @@ class TestFacetsCommand:
         assert payload["closed_form_count"] == payload["brute_count"]
         assert payload["only_closed_form"] == []
         assert payload["only_brute"] == []
+
+    def test_window_does_not_echo_n(self, capsys):
+        argv = ("facets", "--space", "window", "--window=-5:5,-5:5", "--n", "5",
+                "--k", "2")
+        code, payload, _ = run_json(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert payload["n"] is None
+        code, payload, _ = run_json(capsys, *argv, "--mode", "compare")
+        assert (code, payload["n"], payload["identical"]) == (0, None, True)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert read_simplex_list(io.StringIO(out))[0]["n"] == "None"
 
     def test_unsupported_regime_exit(self, capsys):
         code, _, err = run_cli(
@@ -398,6 +410,34 @@ class TestCertifyCommand:
         assert payload["level"] == "certified"
         assert payload["connectivity"]["certified_k"] == 1
         assert payload["connectivity"]["min_ball"] == 21
+
+    def test_truncated_integer_profile_is_not_certified(self, capsys):
+        # Through dimension 5 the profile looks like a wedge of 23 five-spheres,
+        # but the whole complex has betti[8] = 2, so no wedge is certified.
+        code, payload, _ = run_json(
+            capsys, "certify", "--n", "6", "--k", "4",
+            "--coefficients", "integer", "--max-dim", "5",
+        )
+        assert code == 0
+        assert payload["betti"] == [1, 0, 0, 0, 0, 23]
+        assert payload["truncated_at"] == 5
+        assert payload["connectivity"]["certified_k"] == 1
+        assert payload["claim"] == "unknown"
+        assert payload["level"] != "certified"
+
+    @pytest.mark.parametrize(
+        "k,betti",
+        [(3, [1, 0, 0, 1, 14, 0, 0, 0]), (2, [1, 2, 1, 0, 0])],
+    )
+    def test_gf2_full_runs_whole_complex(self, capsys, k, betti):
+        # 'full' is the whole complex over GF(2) too, with or without an
+        # expected regime (T7 k2 is a torus, T7 k3 has none).
+        code, payload, _ = run_json(
+            capsys, "certify", "--n", "7", "--k", str(k), "--max-dim", "full",
+        )
+        assert code == 0
+        assert payload["betti"] == betti
+        assert payload["truncated_at"] is None
 
     def test_unknown_regime_needs_depth(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--n", "7", "--k", "4")

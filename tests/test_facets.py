@@ -8,56 +8,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torus_rips as tr
+from torus_rips import facets as facets_module
 from torus_rips.errors import BudgetError, UnsupportedRegimeError
+from torus_rips.facets import _diamonds
 
 
 def oracle_for(space, k):
     return tr.brute_force_facets(tr.vr_graph(space, k))
 
 
+def doubled_center(stencil):
+    """The stencil's center in doubled coordinates; a stencil is symmetric about it."""
+    xs = [x for x, _ in stencil]
+    ys = [y for _, y in stencil]
+    return min(xs) + max(xs), min(ys) + max(ys)
+
+
 class TestDiamondCenter:
     def test_even_scale_needs_equal_parity(self):
-        tr.DiamondCenter(tr.HalfIntegerPoint(0, 0), 2)
-        tr.DiamondCenter(tr.HalfIntegerPoint(1, 3), 2)
-        with pytest.raises(ValueError):
-            tr.DiamondCenter(tr.HalfIntegerPoint(0, 1), 2)
+        for k in (2, 4, 6):
+            centers = [doubled_center(s) for s in _diamonds(k)]
+            assert centers == [(0, 0), (1, 1)]
+            assert all(x2 % 2 == y2 % 2 for x2, y2 in centers)
 
     def test_odd_scale_needs_mixed_parity(self):
-        tr.DiamondCenter(tr.HalfIntegerPoint(1, 0), 3)
-        tr.DiamondCenter(tr.HalfIntegerPoint(0, 3), 1)
-        with pytest.raises(ValueError):
-            tr.DiamondCenter(tr.HalfIntegerPoint(0, 0), 3)
-        with pytest.raises(ValueError):
-            tr.DiamondCenter(tr.HalfIntegerPoint(1, 1), 3)
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            tr.DiamondCenter(tr.HalfIntegerPoint(0, 0), 0)
+        for k in (1, 3, 5):
+            centers = [doubled_center(s) for s in _diamonds(k)]
+            assert centers == [(1, 0), (0, 1)]
+            assert all(x2 % 2 != y2 % 2 for x2, y2 in centers)
 
 
 class TestZ2Facet:
+    """The two plane facet stencils per scale that both catalogs translate."""
+
     def test_scale_one_is_an_edge(self):
-        pts = tr.z2_facet(tr.DiamondCenter(tr.HalfIntegerPoint(1, 0), 1))
-        assert pts == (tr.LatticePoint(0, 0), tr.LatticePoint(1, 0))
+        assert _diamonds(1) == (((0, 0), (1, 0)), ((0, 0), (0, 1)))
 
     def test_scale_two_diamond_and_square(self):
-        diamond = tr.z2_facet(tr.DiamondCenter(tr.HalfIntegerPoint(0, 0), 2))
+        diamond, square = _diamonds(2)
         assert len(diamond) == 5
         assert set(diamond) == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-        square = tr.z2_facet(tr.DiamondCenter(tr.HalfIntegerPoint(1, 1), 2))
         assert set(square) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_scale_three_size(self):
-        pts = tr.z2_facet(tr.DiamondCenter(tr.HalfIntegerPoint(1, 0), 3))
-        assert len(pts) == 8
+        assert [len(stencil) for stencil in _diamonds(3)] == [8, 8]
 
     def test_points_sorted_and_within_scale(self):
         for k in range(1, 6):
-            x2, y2 = (3, 3) if k % 2 == 0 else (3, 2)
-            pts = tr.z2_facet(tr.DiamondCenter(tr.HalfIntegerPoint(x2, y2), k))
-            assert list(pts) == sorted(pts)
-            for p, q in itertools.combinations(pts, 2):
-                assert abs(p.x - q.x) + abs(p.y - q.y) <= k
+            for stencil in _diamonds(k):
+                assert list(stencil) == sorted(stencil)
+                for (ax, ay), (bx, by) in itertools.combinations(stencil, 2):
+                    assert abs(ax - bx) + abs(ay - by) <= k
 
 
 class TestWindowFacets:
@@ -199,13 +200,22 @@ class TestTorusFacets:
 
 class TestProjectFacet:
     def test_plain_projection(self):
-        pts = tr.z2_facet(tr.DiamondCenter(tr.HalfIntegerPoint(0, 0), 2))
-        assert tr.project_facet(pts, 7) == (0, 1, 6, 7, 42)
+        # The scale-2 diamond around the origin, taken mod 7 onto the torus.
+        assert (0, 1, 6, 7, 42) in tr.torus_facets(7, 2).facets
 
-    def test_collision_detected(self):
-        pts = tr.z2_facet(tr.DiamondCenter(tr.HalfIntegerPoint(1, 0), 3))
-        with pytest.raises(ValueError, match="too small"):
-            tr.project_facet(pts, 3)
+    def test_collision_detected(self, monkeypatch):
+        # A stencil as wide as the torus would land two points on one vertex.
+        wide = (((0, 0), (7, 0)), ((0, 0), (0, 1)))
+        monkeypatch.setattr(facets_module, "_diamonds", lambda k: wide)
+        with pytest.raises(RuntimeError, match="wraps onto itself"):
+            tr.torus_facets(7, 2)
+
+    def test_family_size_checked(self, monkeypatch):
+        # Two copies of one stencil give n * n facets, not 2 * n * n.
+        square = ((0, 0), (0, 1), (1, 0), (1, 1))
+        monkeypatch.setattr(facets_module, "_diamonds", lambda k: (square, square))
+        with pytest.raises(RuntimeError, match="expected 98"):
+            tr.torus_facets(7, 2)
 
 
 @st.composite

@@ -14,7 +14,7 @@ from sympy.matrices.normalforms import smith_normal_form
 import torus_rips as tr
 from torus_rips.complexes import iter_bits
 from torus_rips.errors import BudgetError, TruncatedComplexError
-from torus_rips.homology import signed_boundary_columns, smith_invariants
+from torus_rips.homology import _dense_snf_diagonal, signed_boundary_columns, smith_invariants
 
 
 def dense_gf2_rank(n_rows, columns):
@@ -389,6 +389,31 @@ class TestSmithInvariants:
         nonzero = [v for v in diag if v]
         assert rank == len(nonzero)
         assert factors == tuple(v for v in nonzero if v > 1)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_dense_diagonal_is_a_divisibility_chain(self, n_rows, n_cols, data):
+        # smith_invariants returns the dense finish's diagonal as it comes,
+        # so that diagonal must already be positive with each entry
+        # dividing the next.
+        rows = data.draw(
+            st.lists(
+                st.lists(
+                    st.sampled_from([0, 0, 1, -2, 2, 3, -4, 6, 9, -12]),
+                    min_size=n_cols,
+                    max_size=n_cols,
+                ),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        diagonal = _dense_snf_diagonal([list(row) for row in rows])
+        assert all(d > 0 for d in diagonal)
+        assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
 
 
 class TestHomologyInteger:

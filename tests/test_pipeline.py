@@ -119,7 +119,8 @@ class TestCertifyTorus:
         fp, profile, antipode, conn = tr.certify_torus(7, 2, tr.RunConfig())
         assert fp.claim == "torus"
         assert fp.level == "consistent"
-        assert profile.betti == (1, 2, 1)
+        assert profile.betti == (1, 2, 1, 0, 0)
+        assert profile.truncated_at is None
         assert not antipode.is_antipode
         assert conn.certified_k == -1
 
@@ -127,7 +128,7 @@ class TestCertifyTorus:
         fp, profile, _, _ = tr.certify_torus(5, 2, tr.RunConfig())
         assert fp.claim == "wedge_S2(9)"
         assert fp.level == "consistent"
-        assert profile.betti == (1, 0, 9)
+        assert profile.betti == (1, 0, 9, 0, 0)
 
     def test_integer_full_run_earns_wedge_certificate(self):
         fp, profile, antipode, conn = tr.certify_torus(
@@ -152,9 +153,12 @@ class TestCertifyTorus:
         assert fp.consistent
         assert profile.betti == (1,)
 
-    def test_unknown_regime_needs_explicit_depth(self):
-        with pytest.raises(ValueError, match="explicit max_dim"):
-            tr.certify_torus(7, 4, tr.RunConfig())
+    def test_unknown_regime_runs_whole_complex(self):
+        # max_dim None means the whole complex over GF(2) too.
+        fp, profile, _, _ = tr.certify_torus(7, 3, tr.RunConfig())
+        assert fp.claim == "unknown"
+        assert profile.betti == (1, 0, 0, 1, 14, 0, 0, 0)
+        assert profile.truncated_at is None
 
     def test_negative_scale(self):
         with pytest.raises(ValueError):

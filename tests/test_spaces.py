@@ -148,7 +148,7 @@ class TestWindow:
         assert win.width == 8
         assert win.height == 8
         seen = set()
-        for p in win.points():
+        for p in itertools.product(range(-3, 5), range(-2, 6)):
             i = win.index(p)
             assert win.point(i) == p
             seen.add(i)
@@ -196,11 +196,3 @@ class TestClosedBall:
         assert closed_ball_sizes(space, 0)[5] == 1
         assert closed_ball_sizes(space, 4)[5] == 16
 
-
-def test_half_integer_point():
-    # (3, 6) in doubled coordinates is the plane point (3/2, 3).
-    p = tr.HalfIntegerPoint(3, 6)
-    assert (p.x2, p.y2) == (3, 6)
-    x2, y2 = p
-    assert (x2 / 2, y2 / 2) == (1.5, 3.0)
-    assert p == (3, 6)
