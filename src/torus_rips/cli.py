@@ -9,7 +9,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__
 from .complexes import DEFAULT_SIMPLEX_BUDGET, format_simplex_lines, vr_graph
@@ -50,11 +50,10 @@ def _parse_window(text: str) -> Window:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, hi = map(int, text.split(":") if ":" in text else (text, text))
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"range {text} is empty: {lo} > {hi}")
+    return lo, hi
 
 
 def _parse_max_dim(text: str) -> Optional[int]:
@@ -84,15 +83,21 @@ def _error(category: str, message: str, exit_code: int) -> int:
     return exit_code
 
 
+def _setting(flag: Optional[float], name: str, parse: Callable[[str], float],
+             default: Optional[float]) -> Optional[float]:
+    """The flag if given, else environment variable name parsed, else default."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(name)
+    try:
+        return parse(text) if text else default
+    except ValueError as exc:
+        raise ValueError(f"environment variable {name}: {exc}") from None
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("SIMPLEX_BUDGET")
-        budget = int(env) if env else DEFAULT_SIMPLEX_BUDGET
-    time_budget = args.time_budget
-    if time_budget is None:
-        env = os.environ.get("TIME_BUDGET_SECS")
-        time_budget = float(env) if env else None
+    budget = _setting(args.budget, "SIMPLEX_BUDGET", int, DEFAULT_SIMPLEX_BUDGET)
+    time_budget = _setting(args.time_budget, "TIME_BUDGET_SECS", float, None)
     return RunConfig(
         coefficients=getattr(args, "coefficients", "gf2"),
         max_dim=getattr(args, "max_dim", None),
@@ -180,7 +185,6 @@ def cmd_facets(args: argparse.Namespace) -> int:
     start = time.monotonic()
     space = build_space(args.space, n=args.n, window=args.window)
     n = _reported_n(args)
-    header = {"space": space.label, "n": n, "k": args.k}
 
     if args.mode == "compare":
         catalog = _facet_catalog(args)
@@ -217,7 +221,8 @@ def cmd_facets(args: argparse.Namespace) -> int:
         )
         _emit(payload, sys.stdout)
         return EXIT_OK
-    header["dim"] = max((len(s) - 1 for s in facets), default=0)
+    header = {"space": space.label, "n": n, "k": args.k,
+              "dim": max((len(s) - 1 for s in facets), default=0)}
     sys.stdout.write(format_simplex_lines(facets, header))
     return EXIT_OK
 

@@ -274,12 +274,10 @@ def format_simplex_lines(
 
     Each line carries the ascending vertex indices of one simplex separated by
     single spaces; lines are sorted lexicographically as integer tuples.
-    Header entries become leading ``# key: value`` lines.
+    Header entries become leading ``# key: value`` lines, except those whose
+    value is None, which the format cannot write.
     """
-    lines = []
-    if header:
-        for key, value in header.items():
-            lines.append(f"# {key}: {value}")
+    lines = [f"# {key}: {value}" for key, value in (header or {}).items() if value is not None]
     for sigma in sorted(simplices):
         if list(sigma) != sorted(set(sigma)):
             raise ValueError(f"simplex {sigma} is not strictly ascending")

@@ -6,17 +6,17 @@ upward with a pivot map and clearing, entries taken mod 2 over GF(2) and kept
 exact over the integers.  Simplices are the vertex bitmasks of
 ``FlagComplex.keys``, and each coboundary column is generated on demand from
 the graph's adjacency bitmasks, so no tuple, boundary matrix or face index is
-built.  Over the integers a dimension that meets a pivot other than +/-1 goes
-to a sparse Smith normal form, which eliminates on unit entries first and
-finishes any leftover core densely.  All arithmetic is on Python ints, so
-overflow cannot occur and torsion is read off the invariant factors.
+built.  Over the integers a reduced column whose low entry is not +/-1 is set
+aside, and once the dimension is reduced, what is left of those columns off
+the unit pivots' rows goes to a sparse Smith normal form, which eliminates on
+unit entries first and finishes any leftover core densely.  All arithmetic is
+on Python ints, so overflow cannot occur and torsion is read off the
+invariant factors.
 
 Both rings are bounded in size only by the simplex budget of the enumeration
-and in time by the deadline.  The Smith fallback alone builds a whole
-dimension at once, so it has two fixed limits of its own, each checked
-before what it bounds is built and refused with BudgetError:
-``_SMITH_COLUMN_LIMIT`` uncleared columns, and ``_DENSE_CORE_LIMIT`` entries
-in the dense core.
+and in time by the deadline.  The one fixed limit is ``_DENSE_CORE_LIMIT``
+entries in the dense Smith core, refused with BudgetError before it is
+allocated.
 
 ``boundary_matrix``, ``signed_boundary_columns`` and ``gf2_rank`` build and
 reduce boundary matrices in the homology direction from the vertex tuples;
@@ -33,8 +33,6 @@ from typing import AbstractSet, Iterable, Sequence
 from .complexes import FlagComplex, euler_characteristic
 from .errors import BudgetError, TruncatedComplexError
 
-# Most uncleared columns of one dimension that the Smith fallback builds.
-_SMITH_COLUMN_LIMIT = 200_000
 # Most entries of the dense Smith core (live rows x live columns).  Measured
 # with tracemalloc, 1,000,000 entries take 7.7 MiB as allocated (all zero)
 # and 38 MiB once every entry is a one-digit int outside the small-int cache.
@@ -348,6 +346,25 @@ def _signed_column(key: int, common: int) -> dict[int, int]:
     return column
 
 
+def _eliminate(col: dict[int, int], low: int, pivots: dict, modulus: int) -> None:
+    """Clear row low of col in place with its unit pivot, built and scaled to +1 if deferred."""
+    other = pivots[low]
+    if isinstance(other, tuple):
+        other = pivots[low] = _signed_column(*other)
+        if other[low] == -1:
+            for r in other:
+                other[r] = -other[r]
+    a = col[low]
+    for r, v in other.items():
+        nv = col.get(r, 0) - a * v
+        if modulus:
+            nv %= modulus
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]
+
+
 def _coboundary_invariants(
     cx: FlagComplex,
     d: int,
@@ -368,11 +385,16 @@ def _coboundary_invariants(
     against it.  The deadline is checked every 4096 columns, cleared ones
     included.
 
-    When every low entry is a unit, the reduced matrix has a square submatrix
-    that is triangular with unit diagonal, so the rank is the pivot count and
-    every invariant factor is 1.  Mod 2 every nonzero entry is a unit.  Over
-    the integers the first low entry that is not a unit hands the uncleared
-    columns, row keys renumbered, to ``smith_invariants``.
+    A reduced column whose low entry is not a unit, which only happens over
+    the integers, is kept as residual.  After the last column each residual
+    column is reduced against the unit pivot of every pivot row it meets,
+    largest first.  Each unit pivot splits off an invariant factor of 1: on
+    the pivot rows the pivots form a triangular matrix with unit diagonal,
+    so row operations from those rows clear the pivots' other entries and
+    leave the residual columns, zero there, alone.  The rank is then the
+    pivot count plus the rank of the residual core on the other rows, and
+    the invariant factors are the core's, from ``smith_invariants`` with
+    the rows renumbered from the columns' own row keys.
 
     Also returns the unit pivot rows, which clear the coboundary one
     dimension up.
@@ -380,6 +402,7 @@ def _coboundary_invariants(
     ring = "GF(2)" if modulus == 2 else "integer"
     masks = cx.graph.masks
     pivots: dict[int, tuple[int, int] | dict[int, int]] = {}
+    residual: list[dict[int, int]] = []
     for j, key in enumerate(cx.keys[d]):
         if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during {ring} reduction at column {j}")
@@ -395,23 +418,9 @@ def _coboundary_invariants(
         col = _signed_column(key, common)
         while col:
             low = max(col)
-            other = pivots.get(low)
-            if other is None:
+            if low not in pivots:
                 break
-            if isinstance(other, tuple):
-                other = pivots[low] = _signed_column(*other)
-                if other[low] == -1:
-                    for r in other:
-                        other[r] = -other[r]
-            a = col[low]
-            for r, v in other.items():
-                nv = col.get(r, 0) - a * v
-                if modulus:
-                    nv %= modulus
-                if nv:
-                    col[r] = nv
-                else:
-                    del col[r]
+            _eliminate(col, low, pivots, modulus)
         if not col:
             continue
         a = col[low]
@@ -419,34 +428,21 @@ def _coboundary_invariants(
             for r in col:
                 col[r] = -col[r]
         elif a != 1:
-            rank, factors = _coboundary_smith(cx, d, cleared_rows, deadline)
-            return rank, factors, frozenset(pivots)
+            residual.append(col)
+            continue
         pivots[low] = col
-    return len(pivots), (), frozenset(pivots)
 
-
-def _coboundary_smith(
-    cx: FlagComplex, d: int, cleared_rows: frozenset[int], deadline: float | None
-) -> tuple[int, tuple[int, ...]]:
-    """``smith_invariants`` of the uncleared coboundary columns of dimension d.
-
-    Refuses with BudgetError, before any column is built, a dimension with
-    more than ``_SMITH_COLUMN_LIMIT`` uncleared columns.
-    """
-    uncleared = cx.counts[d] - len(cleared_rows)
-    if uncleared > _SMITH_COLUMN_LIMIT:
-        raise BudgetError(
-            f"integer Smith normal form at dimension {d} needs {uncleared} columns, "
-            f"over the limit of {_SMITH_COLUMN_LIMIT}"
-        )
-    masks = cx.graph.masks
-    row_index = {key: i for i, key in enumerate(cx.keys[d + 1])}
-    columns = []
-    for key in cx.keys[d]:
-        if key not in cleared_rows:
-            column = _signed_column(key, _common_neighbours(masks, key))
-            columns.append({row_index[r]: v for r, v in column.items()})
-    return smith_invariants(cx.counts[d + 1], columns, deadline)
+    if not residual:
+        return len(pivots), (), frozenset(pivots)
+    for i, col in enumerate(residual):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
+        while (low := max((r for r in col if r in pivots), default=None)) is not None:
+            _eliminate(col, low, pivots, modulus)
+    rows = {r: i for i, r in enumerate(sorted(set().union(*residual)))}
+    core = [{rows[r]: v for r, v in col.items()} for col in residual]
+    rank, factors = smith_invariants(len(rows), core, deadline)
+    return len(pivots) + rank, factors, frozenset(pivots)
 
 
 def _coboundary_profile(
@@ -520,13 +516,13 @@ def homology_integer(
     ``betti_gf2`` runs mod 2.  Each unit pivot pair is an elementary
     reduction of the chain complex (Kaczynski, Mrozek & Slusarek 1998), so
     the (d + 1)-simplices that are unit pivot rows of dimension d are cleared
-    one dimension up without changing the rank or any invariant factor.  A
-    dimension whose reduction meets a low entry other than +/-1 is handed
-    whole, its uncleared columns only, to ``smith_invariants``.  Needs
-    enumeration through max_dim + 1 like the GF(2) path, and like it is
-    bounded only by the simplex budget of that enumeration and the deadline,
-    except for the fixed limits of the Smith fallback (see the module
-    docstring), which raise BudgetError.
+    one dimension up without changing the rank or any invariant factor.  The
+    columns whose low entry is not +/-1 are finished against the unit pivots
+    once the dimension is reduced, and only what is left of them goes to
+    ``smith_invariants``.  Needs enumeration through max_dim + 1 like the
+    GF(2) path, and like it is bounded only by the simplex budget of that
+    enumeration and the deadline, except for the dense-core limit of
+    ``smith_invariants``, which raises BudgetError.
     """
     return _coboundary_profile(cx, max_dim, 0, deadline)
 

@@ -176,6 +176,18 @@ class TestBettiCommand:
         assert code == 2
         assert read_error(err)["error"] == "validation"
 
+    @pytest.mark.parametrize("name", ["SIMPLEX_BUDGET", "TIME_BUDGET_SECS"])
+    def test_unparsable_budget_env_is_named(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, out, err = run_cli(
+            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
+            "--max-dim", "3",
+        )
+        assert (code, out) == (2, "")
+        payload = read_error(err)
+        assert payload["error"] == "validation"
+        assert name in payload["message"]
+
 
 class TestFacetsCommand:
     def test_text_output_roundtrips(self, capsys):
@@ -240,7 +252,9 @@ class TestFacetsCommand:
         assert (code, payload["n"], payload["identical"]) == (0, None, True)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert read_simplex_list(io.StringIO(out))[0]["n"] == "None"
+        header = read_simplex_list(io.StringIO(out))[0]
+        assert "n" not in header
+        assert header["space"] == "window -5:5,-5:5"
 
     def test_unsupported_regime_exit(self, capsys):
         code, _, err = run_cli(
@@ -281,6 +295,13 @@ class TestVerifyTableCommand:
         for row in payload["rows"]:
             assert row["status"] == "PASS"
             assert row["computed"] == row["expected"]
+
+    @pytest.mark.parametrize("flag", ["--n", "--k"])
+    def test_reversed_range_is_rejected(self, capsys, flag):
+        # A reversed range selects no row, so it would verify nothing and pass.
+        code, out, err = run_cli(capsys, "verify-table", flag, "9:3")
+        assert (code, out) == (2, "")
+        assert "9 > 3" in err
 
     def test_text_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify-table", "--n", "3")

@@ -1,5 +1,6 @@
 """Tests for GF(2) reduction, integer Smith normal form, and Betti profiles."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -99,6 +100,37 @@ def projective_plane_subdivision():
     return tr.Graph.from_edges(len(faces), edges)
 
 
+def suspension(graph):
+    """The join with two non-adjacent apexes, whose flag complex is the suspension."""
+    n = graph.vertex_count
+    edges = [(u, v) for u in range(n) for v in iter_bits(graph.masks[u]) if u < v]
+    edges += [(apex, v) for apex in (n, n + 1) for v in range(n)]
+    return tr.Graph.from_edges(n + 2, edges)
+
+
+def relabelled(graph, seed):
+    """The graph with its vertices renamed by a permutation drawn from the seed."""
+    perm = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(graph.vertex_count)
+             for v in iter_bits(graph.masks[u]) if u < v]
+    return tr.Graph.from_edges(graph.vertex_count, edges)
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """Column count of each call the library makes to smith_invariants."""
+    calls = []
+    smith = tr.homology.smith_invariants
+
+    def spy(n_rows, columns, deadline=None):
+        calls.append(len(columns))
+        return smith(n_rows, columns, deadline)
+
+    monkeypatch.setattr(tr.homology, "smith_invariants", spy)
+    return calls
+
+
 @st.composite
 def random_graph_complexes(draw):
     """A complete complex of a random graph on at most 8 vertices, all dimensions."""
@@ -114,12 +146,23 @@ def relabelled_torus_complexes(draw):
     """A small torus complex whose vertices are renamed by a seeded permutation."""
     n, k = draw(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    graph = tr.vr_graph(tr.torus_space(n), k)
-    perm = list(range(graph.vertex_count))
-    random.Random(seed).shuffle(perm)
-    edges = [(perm[u], perm[v]) for u in range(graph.vertex_count)
-             for v in iter_bits(graph.masks[u]) if u < v]
-    cx = tr.enumerate_simplices(tr.Graph.from_edges(graph.vertex_count, edges), 8)
+    cx = tr.enumerate_simplices(relabelled(tr.vr_graph(tr.torus_space(n), k), seed), 8)
+    return cx, cx.top_dim
+
+
+@st.composite
+def relabelled_torsion_complexes(draw):
+    """The RP2 subdivision or its suspension, renamed by a seeded permutation.
+
+    The reduction meets the non-unit entry of the torsion Z/2 in dimension 1
+    of the first, and in dimension 2 of the second, after dimension 1 has
+    been cleared.
+    """
+    graph = projective_plane_subdivision()
+    if draw(st.booleans()):
+        graph = suspension(graph)
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    cx = tr.enumerate_simplices(relabelled(graph, seed), graph.vertex_count - 1)
     return cx, cx.top_dim
 
 
@@ -283,24 +326,16 @@ class TestBettiGf2:
         with pytest.raises(BudgetError, match=r"GF\(2\) reduction at column [1-9]"):
             tr.betti_gf2(cx, 3, deadline=readings - 0.5)
 
-    def test_projective_plane_reduces_mod_two(self, monkeypatch):
+    def test_projective_plane_reduces_mod_two(self, smith_calls):
         # H_1 = Z/2 makes betti 1 in dimensions 1 and 2 over GF(2).  Exact
         # integer operations without the mod-2 step would lose both, and no
         # GF(2) dimension may reach the integer Smith normal form.
         graph = projective_plane_subdivision()
         cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
-        calls = []
-        smith = tr.homology.smith_invariants
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return smith(*args, **kwargs)
-
-        monkeypatch.setattr(tr.homology, "smith_invariants", spy)
         profile = tr.betti_gf2(cx, 2)
         assert profile.betti == (1, 1, 1) == homology_direction_betti(cx, 2)
         assert profile.torsion == ((), (), ())
-        assert not calls
+        assert not smith_calls
 
     def test_component_count_on_torus_scales(self):
         for n, k in [(4, 0), (6, 1), (5, 2)]:
@@ -465,51 +500,28 @@ class TestHomologyInteger:
             assert all(t == () for t in b.torsion)
             assert a.betti == b.betti
 
-    def test_smith_fallback_limits(self, monkeypatch):
-        # The Smith fallback refuses a dimension with too many uncleared
-        # columns before it builds one, and a dense core with too many entries.
+    def test_smith_fallback_limits(self, monkeypatch, smith_calls):
+        # The dense Smith core is refused before it is allocated when it
+        # would hold more than _DENSE_CORE_LIMIT entries.
         graph = projective_plane_subdivision()
         cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
-        # The unit pivots of dimension 0 clear one edge per spanning-tree edge.
-        uncleared = cx.counts[1] - (cx.counts[0] - 1)
-        calls = []
-        smith = tr.homology.smith_invariants
-
-        def spy(n_rows, columns, deadline=None):
-            calls.append(len(columns))
-            return smith(n_rows, columns, deadline)
-
-        monkeypatch.setattr(tr.homology, "smith_invariants", spy)
-        monkeypatch.setattr(tr.homology, "_SMITH_COLUMN_LIMIT", uncleared - 1)
-        with pytest.raises(BudgetError, match=rf"dimension 1 needs {uncleared} columns"):
-            tr.homology_integer(cx, 2)
-        assert calls == []
-
-        monkeypatch.setattr(tr.homology, "_SMITH_COLUMN_LIMIT", uncleared)
         monkeypatch.setattr(tr.homology, "_DENSE_CORE_LIMIT", 0)
         with pytest.raises(BudgetError, match=r"dense Smith normal form core of 1 x 1"):
             tr.homology_integer(cx, 2)
-        assert calls == [uncleared]
+        assert smith_calls == [1]
 
-    def test_projective_plane_subdivision_torsion(self, monkeypatch):
+    def test_projective_plane_subdivision_torsion(self, smith_calls):
         # H_1 = Z/2 has an invariant factor 2, which no reduction on unit
-        # pivots alone can produce: this dimension must reach smith_invariants.
+        # pivots alone can produce: the one residual column of dimension 1,
+        # and no other, must reach smith_invariants.
         graph = projective_plane_subdivision()
         cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
         assert cx.complete and cx.counts == (31, 90, 60)
-        calls = []
-        smith = tr.homology.smith_invariants
-
-        def spy(n_rows, columns, deadline=None):
-            calls.append(len(columns))
-            return smith(n_rows, columns, deadline)
-
-        monkeypatch.setattr(tr.homology, "smith_invariants", spy)
         profile = tr.homology_integer(cx, 2)
         assert profile.betti == (1, 0, 0)
         assert profile.torsion == ((), (2,), ())
         assert profile.euler == 1
-        assert calls
+        assert smith_calls == [1]
         assert (profile.betti, profile.torsion) == homology_direction_integer(cx, 2)
 
         space = tr.FiniteMetricSpace(
@@ -521,8 +533,42 @@ class TestHomologyInteger:
         via_pipeline, _ = tr.compute_profile(space, 1, config)
         assert via_pipeline == profile
 
+    def test_projective_plane_suspension_torsion(self, smith_calls):
+        # Suspension moves Z/2 up to H_2.  Dimension 1 is torsion-free, and
+        # all its unit pivots clear dimension 2 before that dimension meets
+        # its non-unit entry.
+        graph = suspension(projective_plane_subdivision())
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        assert cx.complete and cx.counts == (33, 152, 240, 120)
+        profile = tr.homology_integer(cx, 3)
+        assert profile.betti == (1, 0, 0, 0)
+        assert profile.torsion == ((), (), (2,), ())
+        assert smith_calls == [1]
+
+    def test_residual_is_finished_on_pivot_rows(self, smith_calls):
+        # Vertices 6 and 11 are the midpoints of the edges 01 and 12 of the
+        # six-vertex RP2.  Joining them adds one triangle on vertex 1 and
+        # keeps the homotopy type.  Here the residual column of dimension 1
+        # has odd entries in unit pivot rows: alone it has no factor 2, and
+        # only once reduced against those pivots does it keep the torsion.
+        graph = projective_plane_subdivision()
+        edges = [(u, v) for u in range(graph.vertex_count)
+                 for v in iter_bits(graph.masks[u]) if u < v]
+        graph = tr.Graph.from_edges(graph.vertex_count, edges + [(6, 11)])
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        assert cx.complete and cx.counts == (31, 91, 61)
+        profile = tr.homology_integer(cx, 2)
+        assert (profile.betti, profile.torsion) == ((1, 0, 0), ((), (2,), ()))
+        assert (profile.betti, profile.torsion) == homology_direction_integer(cx, 2)
+        assert smith_calls == [1]
+
     @given(
-        st.one_of(random_graph_complexes(), relabelled_torus_complexes(), truncated_complexes())
+        st.one_of(
+            random_graph_complexes(),
+            relabelled_torus_complexes(),
+            truncated_complexes(),
+            relabelled_torsion_complexes(),
+        )
     )
     @settings(deadline=None, max_examples=60)
     def test_cohomology_matches_homology_direction(self, case):
@@ -547,6 +593,26 @@ class TestHomologyInteger:
         with pytest.raises(BudgetError, match=r"integer reduction at column [1-9]"):
             tr.homology_integer(cx, 3, deadline=readings - 0.5)
 
+    def test_deadline_checked_in_residual_finish(self, monkeypatch):
+        # With the Smith normal form stubbed out, the last reading of the
+        # clock is the one before the residual column is finished.
+        class Clock:
+            ticks = 0
+
+            def monotonic(self):
+                Clock.ticks += 1
+                return Clock.ticks
+
+        graph = projective_plane_subdivision()
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        monkeypatch.setattr(tr.homology, "smith_invariants", lambda *args: (1, (2,)))
+        monkeypatch.setattr(tr.homology, "time", Clock())
+        tr.homology_integer(cx, 2, deadline=float("inf"))
+        readings = Clock.ticks
+        Clock.ticks = 0
+        with pytest.raises(BudgetError, match=r"integer reduction at residual 0"):
+            tr.homology_integer(cx, 2, deadline=readings - 0.5)
+
     def test_requires_one_extra_dimension(self):
         cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 2)
         with pytest.raises(TruncatedComplexError):
@@ -554,8 +620,8 @@ class TestHomologyInteger:
 
 
 def test_reducers_never_read_vertex_tuples(monkeypatch):
-    # Both rings reduce FlagComplex.keys alone, the integer Smith normal form
-    # fallback included; the tuple view serves listings and the references.
+    # Both rings reduce FlagComplex.keys alone, the integer residual core
+    # included; the tuple view serves listings and the references.
     torus_cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
     want_gf2 = homology_direction_betti(torus_cx, 2)
     want_integer = homology_direction_integer(torus_cx, 2)
@@ -578,6 +644,29 @@ def test_reducers_never_read_vertex_tuples(monkeypatch):
     assert (integer.betti, integer.torsion) == want_integer
     rp2 = tr.homology_integer(rp2_cx, 2)
     assert (rp2.betti, rp2.torsion) == want_rp2
+
+
+class UnreadableLayer:
+    """Stands in for a layer of FlagComplex.keys; any access fails the test."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a reducer read the top layer of keys")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = __bool__ = _refuse
+
+
+def test_reducers_never_read_top_layer():
+    # The reducers know the top layer by its count alone: its keys are the
+    # row keys of the last coboundary, which come from the graph masks, and
+    # the residual core of the integer ring renumbers only its own rows.
+    graph = projective_plane_subdivision()
+    rp2_cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+    torus_cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
+    for cx, max_dim in [(rp2_cx, 1), (torus_cx, 2)]:
+        assert cx.top_dim == max_dim + 1
+        blind = dataclasses.replace(cx, keys=cx.keys[:-1] + (UnreadableLayer(),))
+        for reduce in (tr.betti_gf2, tr.homology_integer):
+            assert reduce(blind, max_dim) == reduce(cx, max_dim)
 
 
 class TestExpectedCycleProfile:
