@@ -44,9 +44,11 @@ def _parse_window(text: str) -> Window:
         xs, ys = text.split(",")
         x_min, x_max = (int(v) for v in xs.split(":"))
         y_min, y_max = (int(v) for v in ys.split(":"))
-    except ValueError as exc:
-        raise ValueError(f"window must look like '-6:6,-6:6', got {text!r}") from exc
-    return Window(x_min, x_max, y_min, y_max)
+        return Window(x_min, x_max, y_min, y_max)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"window must be nonempty and look like '-6:6,-6:6', got {text!r}"
+        ) from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -59,10 +61,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _parse_max_dim(text: str) -> Optional[int]:
     if text == "full":
         return None
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"max-dim must be nonnegative or 'full', got {text}")
-    return value
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"max-dim must be nonnegative or 'full', got {text}")
+    return int(text)
 
 
 def _emit(payload: dict, out: TextIO) -> None:

@@ -5,11 +5,13 @@ distance is positive and at most k; its clique complex is the Vietoris-Rips
 complex at scale k under the closed convention (a simplex is any vertex set
 of diameter at most k).  Neighbourhoods and simplices alike are stored as
 vertex bitmasks, bit v set iff v is in the set; vertex tuples are made only
-for listings.
+for listings.  ``iter_layers`` streams the complex one dimension at a time,
+each simplex with its extension mask, and ``enumerate_simplices`` collects it.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -178,93 +180,92 @@ class FlagComplex:
         )
 
 
-def enumerate_simplices(
+def iter_layers(
     graph: Graph,
-    max_dim: int,
+    max_dim: int | None = None,
     budget: int | None = DEFAULT_SIMPLEX_BUDGET,
     deadline: float | None = None,
-) -> FlagComplex:
-    """Enumerate all cliques of the graph with at most max_dim + 1 vertices.
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the clique layers of the graph from dimension 0 up, each when asked for.
 
-    Dimension d + 1 is built from dimension d by extending each simplex with
-    the vertices beyond its last member that are adjacent to all of it, which
-    the bitmask form reduces to one AND per extension and one OR per new key.
-    Output order within a dimension is the lexicographic order of the vertex
-    tuples, and the whole enumeration is deterministic.
-    Those extension bitmasks give the exact size of the next dimension, so
-    the budget refuses it before any of it is built.
-
-    Args:
-        graph: the graph whose clique complex is wanted.
-        max_dim: inclusive dimension cap; must be nonnegative.
-        budget: global cap on the number of simplices across all dimensions.
-            Exceeding it raises SimplexBudgetError naming the dimension
-            reached; pass None to disable.
-        deadline: optional time.monotonic() cutoff, checked before every
-            4096 simplices are extended.
-
-    Returns:
-        A FlagComplex; its ``complete`` flag is True iff the complex has no
-        simplex of dimension above the last enumerated one.
+    Layer d is the list of d-simplices as vertex bitmasks, in the
+    lexicographic order of their vertex tuples, and the list of their
+    extension masks ``cand``: the vertices beyond the last member adjacent to
+    all of it.  Layer d + 1 takes one AND per extension and one OR per new
+    key.  The stream ends after max_dim or before an empty layer.  The
+    popcounts of ``cands`` are the exact size of layer d + 1, so the budget,
+    a cap on simplices across all dimensions, refuses it with
+    SimplexBudgetError before layer d is handed out.  The deadline, a
+    time.monotonic() cutoff, is read every 4096 parents extended.
     """
-    if max_dim < 0:
+    if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     n = graph.vertex_count
     masks = graph.masks
-
-    layer: list[int] = [1 << v for v in range(n)]
+    keys: list[int] = [1 << v for v in range(n)]
     cands: list[int] = [masks[v] & -(1 << (v + 1)) for v in range(n)]
-    layers: list[tuple[int, ...]] = [tuple(layer)]
     total = n
     if budget is not None and total > budget:
         raise SimplexBudgetError(budget, 0)
-
-    complete = False
-    for d in range(1, max_dim + 1):
+    for d in itertools.count():
         size = sum(map(int.bit_count, cands))
-        if not size:
-            complete = True
-            break
+        if not size or d == max_dim:
+            yield keys, cands
+            return
         total += size
         if budget is not None and total > budget:
-            raise SimplexBudgetError(budget, d)
-        next_layer: list[int] = []
+            raise SimplexBudgetError(budget, d + 1)
+        yield keys, cands
+        next_keys: list[int] = []
         next_cands: list[int] = []
-        append_s = next_layer.append
+        append_s = next_keys.append
         append_c = next_cands.append
-        for start in range(0, len(layer), _DEADLINE_CHUNK):
+        for start in range(0, len(keys), _DEADLINE_CHUNK):
             if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+                raise BudgetError(f"time budget exceeded while enumerating dimension {d + 1}")
             stop = start + _DEADLINE_CHUNK
-            for key, cand in zip(layer[start:stop], cands[start:stop]):
+            for key, cand in zip(keys[start:stop], cands[start:stop]):
                 m = cand
                 while m:
                     low = m & -m
                     m ^= low
                     append_s(key | low)
                     append_c(cand & masks[low.bit_length() - 1] & -(low << 1))
-        layers.append(tuple(next_layer))
-        layer = next_layer
-        cands = next_cands
+        keys, cands = next_keys, next_cands
 
-    if not complete:
-        complete = all(c == 0 for c in cands)
 
+def enumerate_simplices(
+    graph: Graph,
+    max_dim: int,
+    budget: int | None = DEFAULT_SIMPLEX_BUDGET,
+    deadline: float | None = None,
+) -> FlagComplex:
+    """All cliques of the graph with at most max_dim + 1 vertices, from ``iter_layers``.
+
+    max_dim must be nonnegative; the budget (None disables it) and the
+    deadline act as in ``iter_layers``.  The FlagComplex is ``complete`` iff
+    the complex has no simplex above the last enumerated dimension.
+    """
+    layers = []
+    for keys, cands in iter_layers(graph, max_dim, budget, deadline):
+        layers.append(tuple(keys))
     return FlagComplex(
         graph=graph,
         keys=tuple(layers),
-        counts=tuple(len(ls) for ls in layers),
-        complete=complete,
+        counts=tuple(map(len, layers)),
+        complete=len(layers) <= max_dim or not any(cands),
     )
 
 
-def euler_characteristic(cx: FlagComplex) -> int:
-    """Alternating sum of simplex counts; refuses truncated complexes."""
-    if not cx.complete:
-        raise TruncatedComplexError(
-            f"complex truncated at dimension {cx.top_dim}; Euler characteristic unknown"
-        )
-    return sum(c if d % 2 == 0 else -c for d, c in enumerate(cx.counts))
+def euler_characteristic(counts: FlagComplex | Iterable[int]) -> int:
+    """Alternating sum of simplex counts or Betti numbers; refuses a truncated complex."""
+    if isinstance(counts, FlagComplex):
+        if not counts.complete:
+            raise TruncatedComplexError(
+                f"complex truncated at dimension {counts.top_dim}; Euler characteristic unknown"
+            )
+        counts = counts.counts
+    return sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
 
 
 def format_simplex_lines(

@@ -3,20 +3,20 @@
 One reducer serves both rings, the way Ripser is parameterised by its
 coefficient modulus: the coboundary matrices are reduced from dimension 0
 upward with a pivot map and clearing, entries taken mod 2 over GF(2) and kept
-exact over the integers.  Simplices are the vertex bitmasks of
-``FlagComplex.keys``, and each coboundary column is generated on demand from
-the graph's adjacency bitmasks, so no tuple, boundary matrix or face index is
-built.  Over the integers a reduced column whose low entry is not +/-1 is set
-aside, and once the dimension is reduced, what is left of those columns off
-the unit pivots' rows goes to a sparse Smith normal form, which eliminates on
-unit entries first and finishes any leftover core densely.  All arithmetic is
-on Python ints, so overflow cannot occur and torsion is read off the
-invariant factors.
+exact over the integers.  Clique layers stream from ``iter_layers``: layer
+d + 1 is built after the coboundary of layer d is reduced, and the layer above
+the top reported dimension is only counted.  Each coboundary column comes
+from the graph's adjacency bitmasks on demand, so no tuple, boundary matrix
+or face index is built.  Over the integers a reduced column whose low entry
+is not +/-1 is set aside, and once the dimension is reduced, what is left of
+those columns off the unit pivots' rows goes to a sparse Smith normal form,
+which eliminates on unit entries first and finishes any leftover core
+densely.  All arithmetic is on Python ints, so overflow cannot occur and
+torsion is read off the invariant factors.
 
-Both rings are bounded in size only by the simplex budget of the enumeration
-and in time by the deadline.  The one fixed limit is ``_DENSE_CORE_LIMIT``
-entries in the dense Smith core, refused with BudgetError before it is
-allocated.
+Both rings are bounded in size only by the simplex budget and in time by the
+deadline.  The one fixed limit is ``_DENSE_CORE_LIMIT`` entries in the dense
+Smith core, refused with BudgetError before it is allocated.
 
 ``boundary_matrix``, ``signed_boundary_columns`` and ``gf2_rank`` build and
 reduce boundary matrices in the homology direction from the vertex tuples;
@@ -30,8 +30,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
-from .complexes import FlagComplex, euler_characteristic
-from .errors import BudgetError, TruncatedComplexError
+from .complexes import (DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph, euler_characteristic,
+                        iter_layers)
+from .errors import BudgetError
 
 # Most entries of the dense Smith core (live rows x live columns).  Measured
 # with tracemalloc, 1,000,000 entries take 7.7 MiB as allocated (all zero)
@@ -49,6 +50,7 @@ class BettiProfile:
     the Euler characteristic of the full complex when it is known, else None.
     ``truncated_at`` is None when the profile covers every dimension of a
     completely enumerated complex, else the deepest reported dimension.
+    ``counts`` has the simplex count of each dimension the reducer met, if any.
     """
 
     coefficients: str
@@ -56,6 +58,7 @@ class BettiProfile:
     torsion: tuple[tuple[int, ...], ...]
     euler: int | None
     truncated_at: int | None
+    counts: tuple[int, ...] = ()
 
     def betti_at(self, d: int) -> int:
         return self.betti[d] if 0 <= d < len(self.betti) else 0
@@ -346,11 +349,11 @@ def _signed_column(key: int, common: int) -> dict[int, int]:
     return column
 
 
-def _eliminate(col: dict[int, int], low: int, pivots: dict, modulus: int) -> None:
+def _eliminate(col: dict[int, int], low: int, pivots: dict, masks: Sequence[int], modulus: int):
     """Clear row low of col in place with its unit pivot, built and scaled to +1 if deferred."""
     other = pivots[low]
-    if isinstance(other, tuple):
-        other = pivots[low] = _signed_column(*other)
+    if isinstance(other, int):
+        other = pivots[low] = _signed_column(other, _common_neighbours(masks, other))
         if other[low] == -1:
             for r in other:
                 other[r] = -other[r]
@@ -366,13 +369,10 @@ def _eliminate(col: dict[int, int], low: int, pivots: dict, modulus: int) -> Non
 
 
 def _coboundary_invariants(
-    cx: FlagComplex,
-    d: int,
-    cleared_rows: frozenset[int],
-    modulus: int,
-    deadline: float | None,
-) -> tuple[int, tuple[int, ...], frozenset[int]]:
-    """Rank and invariant factors > 1 of the coboundary of dimension d.
+    masks: Sequence[int], keys: Sequence[int], cands: Sequence[int],
+    cleared_rows: AbstractSet[int], modulus: int, deadline: float | None,
+) -> tuple[int, tuple[int, ...], dict[int, int | dict[int, int]]]:
+    """Rank and invariant factors > 1 of the coboundary of the layer (keys, cands).
 
     Reduces the signed coboundary columns left to right by column operations
     against a pivot map keyed by the largest row key, skipping the columns
@@ -381,9 +381,10 @@ def _coboundary_invariants(
     integers when it is 0.  A column whose low entry is +/-1 becomes the
     pivot of that row, scaled so the entry is +1.  An unreduced column's low
     entry is always a unit, so a column whose low row is still free is
-    recorded as (key, common) and only built when a later column reduces
-    against it.  The deadline is checked every 4096 columns, cleared ones
-    included.
+    recorded by its key and only built when a later column reduces against
+    it.  That low row is key | topbit(cand) when ``cand`` is nonzero, so
+    common neighbours are only computed for the other columns and the built
+    ones.  The deadline is checked every 4096 columns, cleared ones included.
 
     A reduced column whose low entry is not a unit, which only happens over
     the integers, is kept as residual.  After the last column each residual
@@ -396,31 +397,30 @@ def _coboundary_invariants(
     the invariant factors are the core's, from ``smith_invariants`` with
     the rows renumbered from the columns' own row keys.
 
-    Also returns the unit pivot rows, which clear the coboundary one
+    Also returns the pivot map, whose rows clear the coboundary one
     dimension up.
     """
     ring = "GF(2)" if modulus == 2 else "integer"
-    masks = cx.graph.masks
-    pivots: dict[int, tuple[int, int] | dict[int, int]] = {}
+    pivots: dict[int, int | dict[int, int]] = {}
     residual: list[dict[int, int]] = []
-    for j, key in enumerate(cx.keys[d]):
+    for j, (key, cand) in enumerate(zip(keys, cands)):
         if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during {ring} reduction at column {j}")
         if key in cleared_rows:
             continue
-        common = _common_neighbours(masks, key)
-        if not common:
+        top = cand or _common_neighbours(masks, key)
+        if not top:
             continue
-        low = key | (1 << (common.bit_length() - 1))
+        low = key | (1 << (top.bit_length() - 1))
         if low not in pivots:
-            pivots[low] = (key, common)
+            pivots[low] = key
             continue
-        col = _signed_column(key, common)
+        col = _signed_column(key, _common_neighbours(masks, key) if cand else top)
         while col:
             low = max(col)
             if low not in pivots:
                 break
-            _eliminate(col, low, pivots, modulus)
+            _eliminate(col, low, pivots, masks, modulus)
         if not col:
             continue
         a = col[low]
@@ -433,80 +433,98 @@ def _coboundary_invariants(
         pivots[low] = col
 
     if not residual:
-        return len(pivots), (), frozenset(pivots)
+        return len(pivots), (), pivots
     for i, col in enumerate(residual):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
         while (low := max((r for r in col if r in pivots), default=None)) is not None:
-            _eliminate(col, low, pivots, modulus)
+            _eliminate(col, low, pivots, masks, modulus)
     rows = {r: i for i, r in enumerate(sorted(set().union(*residual)))}
     core = [{rows[r]: v for r, v in col.items()} for col in residual]
     rank, factors = smith_invariants(len(rows), core, deadline)
-    return len(pivots) + rank, factors, frozenset(pivots)
+    return len(pivots) + rank, factors, pivots
 
 
-def _coboundary_profile(
-    cx: FlagComplex,
-    max_dim: int,
-    modulus: int,
-    deadline: float | None,
-) -> BettiProfile:
+def _reaches_two_up(masks: Sequence[int], cands: Sequence[int], d: int,
+                    deadline: float | None) -> bool:
+    """Whether some simplex of layer d has two adjacent extensions: a (d + 2)-simplex."""
+    for j, cand in enumerate(cands):
+        if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
+            raise BudgetError(f"time budget exceeded while probing dimension {d + 2}")
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if cand & masks[low.bit_length() - 1]:
+                return True
+    return False
+
+
+def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
+                        deadline: float | None, budget: int | None) -> BettiProfile:
     """Betti profile through max_dim from the coboundaries reduced mod ``modulus``.
 
     ``modulus`` is 2 for GF(2) or 0 for the integers; over any other prime a
-    non-unit low entry would reach the integer Smith normal form.
+    non-unit low entry would reach the integer Smith normal form.  At most
+    two layers and their pivot maps are alive.  The layer above max_dim is
+    counted from the extension masks, against the budget too, and one probe
+    of them settles whether the complex goes higher still.
     """
-    coefficients, entry = ("gf2", "betti_gf2") if modulus else ("integer", "homology_integer")
-    if max_dim < 0:
+    if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    if not cx.complete and cx.top_dim < max_dim + 1:
-        raise TruncatedComplexError(
-            f"{entry} needs enumeration through dimension {max_dim + 1}, "
-            f"but the complex is truncated at {cx.top_dim}"
-        )
-    top = min(max_dim + 1, cx.top_dim)
+    masks = graph.masks
+    counts, ranks, torsion, pivots = [], [0], [], {}
+    complete = True
+    top = None if max_dim is None else max_dim + 1
+    for d, (keys, cands) in enumerate(iter_layers(graph, top, budget, deadline)):
+        counts.append(len(keys))
+        # With no extension anywhere the layer is the top and its coboundary zero.
+        rank, factors, pivots = _coboundary_invariants(
+            masks, keys, cands, pivots, modulus, deadline
+        ) if any(cands) else (0, (), {})
+        ranks.append(rank)
+        torsion.append(factors)
+        if d == max_dim:
+            size = sum(map(int.bit_count, cands))
+            if size:
+                counts.append(size)
+                complete = not _reaches_two_up(masks, cands, d, deadline)
+            break
 
-    ranks = [0] * (max_dim + 2)
-    torsion: list[tuple[int, ...]] = [() for _ in range(max_dim + 1)]
-    pivot_rows: frozenset[int] = frozenset()
-    for d in range(top):
-        ranks[d + 1], torsion[d], pivot_rows = _coboundary_invariants(
-            cx, d, pivot_rows, modulus, deadline
-        )
-
-    betti = tuple(cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+    depth = len(torsion) if max_dim is None else max_dim + 1
+    pad = depth - len(torsion)
+    ranks += [0] * pad
+    cells = counts + [0] * pad
     return BettiProfile(
-        coefficients=coefficients,
-        betti=betti,
-        torsion=tuple(torsion),
-        euler=euler_characteristic(cx) if cx.complete else None,
-        truncated_at=None if (cx.complete and max_dim >= cx.top_dim) else max_dim,
+        coefficients="gf2" if modulus else "integer",
+        betti=tuple(cells[d] - ranks[d] - ranks[d + 1] for d in range(depth)),
+        torsion=tuple(torsion) + ((),) * pad,
+        euler=euler_characteristic(counts) if complete else None,
+        truncated_at=None if complete and len(counts) <= depth else max_dim,
+        counts=tuple(counts),
     )
 
 
-def betti_gf2(
-    cx: FlagComplex, max_betti_dim: int, deadline: float | None = None
-) -> BettiProfile:
-    """GF(2) Betti numbers of a flag complex through dimension max_betti_dim.
+def betti_gf2(graph: Graph, max_betti_dim: int | None, deadline: float | None = None,
+              budget: int | None = DEFAULT_SIMPLEX_BUDGET) -> BettiProfile:
+    """GF(2) Betti numbers of the clique complex of a graph through max_betti_dim.
 
-    Requires the complex to be enumerated through max_betti_dim + 1 (or to be
-    complete), because betti[d] subtracts the rank of the boundary one
-    dimension up.  Over a field the rank of the boundary d+1 -> d equals the
-    rank of the coboundary d -> d+1, so the coboundaries are reduced instead,
-    from dimension 0 upward, by the reducer of ``homology_integer`` with
-    entries taken mod 2.  Every simplex is keyed by the bitmask of its
-    vertices, with the largest key as pivot.  A (d + 1)-simplex that is a
-    pivot row of the coboundary of dimension d has a column that reduces to
-    zero one dimension up, so it is cleared without being built (de Silva,
-    Morozov & Vejdemo-Johansson 2011; Bauer, Ripser 2021).
+    None means every dimension.  The budget caps the simplices through
+    max_betti_dim + 1 as in ``iter_layers``.  Over a field the rank of the
+    boundary d+1 -> d equals the rank of the coboundary d -> d+1, so the
+    coboundaries are reduced instead, from dimension 0 upward, by the
+    reducer of ``homology_integer`` with entries taken mod 2.  Every simplex
+    is keyed by the bitmask of its vertices, with the largest key as pivot.
+    A (d + 1)-simplex that is a pivot row of the coboundary of dimension d
+    has a column that reduces to zero one dimension up, so it is cleared
+    without being built (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer,
+    Ripser 2021).
     """
-    return _coboundary_profile(cx, max_betti_dim, 2, deadline)
+    return _coboundary_profile(graph, max_betti_dim, 2, deadline, budget)
 
 
-def homology_integer(
-    cx: FlagComplex, max_dim: int, deadline: float | None = None
-) -> BettiProfile:
-    """Integer homology of a flag complex through dimension max_dim.
+def homology_integer(graph: Graph, max_dim: int | None, deadline: float | None = None,
+                     budget: int | None = DEFAULT_SIMPLEX_BUDGET) -> BettiProfile:
+    """Integer homology of the clique complex of a graph through max_dim.
 
     betti[d] is the free rank of H_d and torsion[d] its invariant factors
     greater than 1.  Both come from the boundary one dimension up, whose
@@ -519,12 +537,11 @@ def homology_integer(
     one dimension up without changing the rank or any invariant factor.  The
     columns whose low entry is not +/-1 are finished against the unit pivots
     once the dimension is reduced, and only what is left of them goes to
-    ``smith_invariants``.  Needs enumeration through max_dim + 1 like the
-    GF(2) path, and like it is bounded only by the simplex budget of that
-    enumeration and the deadline, except for the dense-core limit of
+    ``smith_invariants``.  Bounded like the GF(2) path by the simplex budget
+    and the deadline, except for the dense-core limit of
     ``smith_invariants``, which raises BudgetError.
     """
-    return _coboundary_profile(cx, max_dim, 0, deadline)
+    return _coboundary_profile(graph, max_dim, 0, deadline, budget)
 
 
 def expected_cycle_profile(n: int, k: int) -> BettiProfile:
@@ -554,11 +571,10 @@ def expected_cycle_profile(n: int, k: int) -> BettiProfile:
         betti[2 * level + 1] = 1
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
-    euler = sum(b if d % 2 == 0 else -b for d, b in enumerate(betti))
     return BettiProfile(
         coefficients="gf2",
         betti=tuple(betti),
         torsion=tuple(() for _ in betti),
-        euler=euler,
+        euler=euler_characteristic(betti),
         truncated_at=None,
     )

@@ -18,11 +18,12 @@ from .certificates import (
     expected_torus_profile,
     fingerprint,
 )
+# enumerate_simplices is not called here; perfbench/spans.py traces it by this name.
 from .complexes import (
     DEFAULT_SIMPLEX_BUDGET,
-    FlagComplex,
     Graph,
-    enumerate_simplices,
+    enumerate_simplices,  # noqa: F401
+    euler_characteristic,
     vr_graph,
 )
 from .errors import BudgetError
@@ -73,13 +74,14 @@ def compute_profile(
     config: RunConfig,
     graph: Optional[Graph] = None,
     deadline: Optional[float] = None,
-) -> tuple[BettiProfile, Optional[FlagComplex]]:
-    """Build the scale-k complex of a space and compute its Betti profile.
+) -> tuple[BettiProfile, Optional[tuple[int, ...]]]:
+    """Build the scale-k graph of a space and compute its Betti profile.
 
     A complete scale graph short-circuits to the one-simplex profile without
-    enumeration; otherwise the complex is enumerated one dimension above the
-    requested max_dim (or to completion when max_dim is None) and handed to
-    the requested coefficient pipeline.
+    enumeration; otherwise the requested coefficient pipeline streams the
+    complex through one dimension above max_dim (or to completion when
+    max_dim is None).  Returns the profile and its simplex counts per
+    dimension, the counted top layer included, or None for a complete graph.
     """
     if graph is None:
         graph = vr_graph(space, k)
@@ -92,20 +94,18 @@ def compute_profile(
             coefficients=config.coefficients,
             betti=betti,
             torsion=tuple(() for _ in betti),
-            euler=1,
+            euler=euler_characteristic(betti),
             truncated_at=None,
         ), None
 
-    cap = (space.point_count - 1) if max_dim is None else max_dim + 1
-    cx = enumerate_simplices(graph, cap, budget=config.simplex_budget, deadline=deadline)
-    report_dim = cx.top_dim if max_dim is None else max_dim
     if config.coefficients == "integer":
-        profile = homology_integer(cx, report_dim, deadline=deadline)
+        reduce = homology_integer
     elif config.coefficients == "gf2":
-        profile = betti_gf2(cx, report_dim, deadline=deadline)
+        reduce = betti_gf2
     else:
         raise ValueError(f"unknown coefficients {config.coefficients!r}")
-    return profile, cx
+    profile = reduce(graph, max_dim, deadline=deadline, budget=config.simplex_budget)
+    return profile, profile.counts
 
 
 def default_certify_depth(n: int, k: int) -> Optional[int]:

@@ -246,7 +246,7 @@ def test_criterion_7_structural_property_battery():
     ]:
         cx = tr.enumerate_simplices(tr.vr_graph(space, k), space.point_count - 1)
         assert cx.complete
-        profile = tr.betti_gf2(cx, cx.top_dim)
+        profile = tr.betti_gf2(cx.graph, cx.top_dim)
         alternating = sum(b if d % 2 == 0 else -b for d, b in enumerate(profile.betti))
         assert alternating == tr.euler_characteristic(cx) == profile.euler
 
@@ -255,8 +255,8 @@ def test_criterion_7_structural_property_battery():
         (tr.torus_space(5), 2, 3), (tr.torus_space(4), 2, 4), (tr.cycle_space(8), 3, 4),
     ]:
         cx = tr.enumerate_simplices(tr.vr_graph(space, k), depth)
-        a = tr.betti_gf2(cx, depth - 1)
-        b = tr.homology_integer(cx, depth - 1)
+        a = tr.betti_gf2(cx.graph, depth - 1)
+        b = tr.homology_integer(cx.graph, depth - 1)
         assert all(t == () for t in b.torsion)
         assert a.betti == b.betti
 
@@ -283,7 +283,7 @@ def test_criterion_7_structural_property_battery():
                 parent[find(u)] = find(v)
         components = len({find(v) for v in range(graph.vertex_count)})
         cx = tr.enumerate_simplices(graph, 1)
-        assert tr.betti_gf2(cx, 0).betti[0] == components
+        assert tr.betti_gf2(cx.graph, 0).betti[0] == components
 
     elapsed = time.monotonic() - start
     print(f"criterion 7 PASS: structural invariants hold in {elapsed:.1f}s")
@@ -298,10 +298,10 @@ def test_criterion_8_contractible_regime_is_a_full_simplex():
         for k in range(threshold, n + 2):
             graph = tr.vr_graph(tr.torus_space(n), k)
             assert graph.is_complete(), f"n={n}, k={k}"
-            profile, cx = tr.compute_profile(
+            profile, counts = tr.compute_profile(
                 tr.torus_space(n), k, tr.RunConfig(max_dim=2)
             )
-            assert cx is None
+            assert counts is None
             assert profile.betti == (1, 0, 0)
         # Sharpness: one step below the threshold the graph is not complete.
         below = tr.vr_graph(tr.torus_space(n), threshold - 1)

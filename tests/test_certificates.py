@@ -261,7 +261,7 @@ class TestFingerprint:
 
     def test_antipode_with_matching_profile(self):
         cx = torus_cx(4, 3, 16)
-        profile = tr.betti_gf2(cx, 7)
+        profile = tr.betti_gf2(cx.graph, 7)
         report = tr.antipode_check(cx.graph)
         fp = tr.fingerprint(profile, report, None, 4, 3)
         assert fp.claim == "sphere(7)"
@@ -312,7 +312,7 @@ class TestFingerprint:
 
     def test_consistent_against_expected_profile(self):
         cx = torus_cx(7, 2, 3)
-        profile = tr.betti_gf2(cx, 2)
+        profile = tr.betti_gf2(cx.graph, 2)
         fp = tr.fingerprint(profile, None, None, 7, 2)
         assert fp.claim == "torus"
         assert fp.level == "consistent"
@@ -342,7 +342,7 @@ class TestFingerprint:
 
     def test_evidence_fields(self):
         cx = torus_cx(7, 2, 3)
-        profile = tr.betti_gf2(cx, 2)
+        profile = tr.betti_gf2(cx.graph, 2)
         fp = tr.fingerprint(profile, None, conn_cert(-1), 7, 2)
         assert fp.evidence["n"] == 7
         assert fp.evidence["k"] == 2

@@ -273,10 +273,11 @@ class TestFacetsCommand:
         assert read_error(err)["error"] == "validation"
 
     def test_bad_window_spec(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "facets", "--space", "window", "--window", "oops", "--k", "2"
         )
         assert code == 2
+        assert "argument --window: window must be nonempty and look like" in err
 
 
 GOLDEN_ROW = {"space": "torus", "n": 3, "k": 1, "max_dim": 1,
@@ -501,11 +502,29 @@ class TestParser:
         assert code == 2
 
     def test_negative_max_dim_rejected(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "betti", "--space", "torus", "--n", "7", "--k", "2",
             "--max-dim", "-1",
         )
         assert code == 2
+        assert "argument --max-dim: max-dim must be nonnegative or 'full', got -1" in err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--window", "abc", "window must be nonempty and look like '-6:6,-6:6', got 'abc'"),
+            ("--window", "2:-2,0:1", "window must be nonempty and look like"),
+            ("--max-dim", "two", "max-dim must be nonnegative or 'full', got two"),
+        ],
+    )
+    def test_argument_errors_carry_their_message(self, capsys, flag, value, message):
+        # argparse prints the message of an ArgumentTypeError, but only
+        # "invalid <function> value" for any other exception of a type function.
+        argv = ["betti", "--space", "window", "--k", "2", "--max-dim", "1"]
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: {message}" in err
+        assert "invalid" not in err
 
 
 FIXTURE_DIR = Path(__file__).parent / "data" / "cli"

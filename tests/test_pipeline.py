@@ -51,8 +51,8 @@ class TestComputeProfile:
     def test_complete_graph_shortcut(self):
         # Scale at the diameter makes the graph complete; no enumeration runs
         # and the profile is the contractible one.
-        profile, cx = tr.compute_profile(tr.cycle_space(5), 2, tr.RunConfig())
-        assert cx is None
+        profile, counts = tr.compute_profile(tr.cycle_space(5), 2, tr.RunConfig())
+        assert counts is None
         assert profile.betti == (1,)
         assert profile.euler == 1
         profile, _ = tr.compute_profile(
@@ -61,19 +61,21 @@ class TestComputeProfile:
         assert profile.betti == (1, 0, 0, 0)
 
     def test_torus_profile(self):
-        profile, cx = tr.compute_profile(
+        profile, counts = tr.compute_profile(
             tr.torus_space(7), 2, tr.RunConfig(max_dim=2)
         )
         assert profile.betti == (1, 2, 1)
         assert profile.coefficients == "gf2"
-        assert cx is not None
+        # Counted through dimension 3; that layer is never built.
+        assert counts == (49, 294, 490, 294)
 
     def test_full_enumeration(self):
-        profile, cx = tr.compute_profile(tr.cycle_space(6), 2, tr.RunConfig())
+        # The octahedron: the stream ends on its top layer of triangles.
+        profile, counts = tr.compute_profile(tr.cycle_space(6), 2, tr.RunConfig())
         assert profile.betti == (1, 0, 1)
         assert profile.truncated_at is None
         assert profile.euler == 2
-        assert cx.complete
+        assert counts == (6, 12, 8)
 
     def test_integer_coefficients(self):
         profile, _ = tr.compute_profile(
