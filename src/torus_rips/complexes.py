@@ -5,8 +5,9 @@ distance is positive and at most k; its clique complex is the Vietoris-Rips
 complex at scale k under the closed convention (a simplex is any vertex set
 of diameter at most k).  Neighbourhoods and simplices alike are stored as
 vertex bitmasks, bit v set iff v is in the set; vertex tuples are made only
-for listings.  ``iter_layers`` streams the complex one dimension at a time,
-each simplex with its extension mask, and ``enumerate_simplices`` collects it.
+for listings.  ``collapse_edges`` drops dominated edges, keeping the homotopy
+type; ``iter_layers`` streams the complex one dimension at a time, each simplex
+with its extension mask, and ``enumerate_simplices`` collects it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
-# Parents extended between two readings of the deadline clock.
+# Parents extended, or edges tested, between two readings of the deadline clock.
 _DEADLINE_CHUNK = 4096
 
 # Farthest-point landmarks whose distance rows filter the pairs of vr_graph.
@@ -143,6 +144,31 @@ def vr_graph(space: FiniteMetricSpace, k: int) -> Graph:
                 masks[v] |= bit
         masks[u] |= found << (u + 1)
     return Graph(vertex_count=n, masks=tuple(masks))
+
+
+def collapse_edges(graph: Graph, deadline: float | None = None) -> Graph:
+    """The graph less its dominated edges, removed pass by pass to a fixed point.
+
+    Edge uv is dominated when a common neighbour w has N[u] ∩ N[v] ⊆ N[w], and
+    removing it keeps the flag complex's homotopy type (Boissonnat & Pritam,
+    SoCG 2020).  Each pass tests the edges u < v in ascending order against
+    the current masks; the deadline is read every 4096 edges.
+    """
+    masks, scanned, removed = list(graph.masks), 0, True
+    while removed:
+        removed = False
+        for u in range(graph.vertex_count):
+            for v in iter_bits(masks[u] & -(2 << u)):
+                if scanned % _DEADLINE_CHUNK == 0 and deadline is not None \
+                        and time.monotonic() > deadline:
+                    raise BudgetError("time budget exceeded while collapsing edges")
+                scanned += 1
+                common = masks[u] & masks[v]
+                if any(common & ~masks[w] == 1 << w for w in iter_bits(common)):
+                    masks[u] ^= 1 << v
+                    masks[v] ^= 1 << u
+                    removed = True
+    return Graph(vertex_count=graph.vertex_count, masks=tuple(masks))
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,6 +51,8 @@ class BettiProfile:
     ``truncated_at`` is None when the profile covers every dimension of a
     completely enumerated complex, else the deepest reported dimension.
     ``counts`` has the simplex count of each dimension the reducer met, if any.
+    From ``compute_profile`` the complex is the edge-collapsed one, so
+    ``euler`` or ``truncated_at`` may be known where the raw complex's are not.
     """
 
     coefficients: str

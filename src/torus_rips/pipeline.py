@@ -22,6 +22,7 @@ from .certificates import (
 from .complexes import (
     DEFAULT_SIMPLEX_BUDGET,
     Graph,
+    collapse_edges,
     enumerate_simplices,  # noqa: F401
     euler_characteristic,
     vr_graph,
@@ -78,10 +79,13 @@ def compute_profile(
     """Build the scale-k graph of a space and compute its Betti profile.
 
     A complete scale graph short-circuits to the one-simplex profile without
-    enumeration; otherwise the requested coefficient pipeline streams the
-    complex through one dimension above max_dim (or to completion when
-    max_dim is None).  Returns the profile and its simplex counts per
-    dimension, the counted top layer included, or None for a complete graph.
+    enumeration; otherwise ``collapse_edges`` removes the dominated edges and
+    the requested coefficient pipeline streams the collapsed complex through
+    one dimension above max_dim (or to completion when max_dim is None).  The
+    collapse keeps Betti numbers and torsion; ``euler``, ``truncated_at``, the
+    length of a full-depth ``betti`` and the returned simplex counts per
+    dimension (the counted top layer included, None for a complete graph)
+    describe the collapsed complex.  Returns the profile and those counts.
     """
     if graph is None:
         graph = vr_graph(space, k)
@@ -98,12 +102,10 @@ def compute_profile(
             truncated_at=None,
         ), None
 
-    if config.coefficients == "integer":
-        reduce = homology_integer
-    elif config.coefficients == "gf2":
-        reduce = betti_gf2
-    else:
+    reduce = {"gf2": betti_gf2, "integer": homology_integer}.get(config.coefficients)
+    if reduce is None:
         raise ValueError(f"unknown coefficients {config.coefficients!r}")
+    graph = collapse_edges(graph, deadline)
     profile = reduce(graph, max_dim, deadline=deadline, budget=config.simplex_budget)
     return profile, profile.counts
 

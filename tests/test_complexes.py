@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torus_rips as tr
-from torus_rips.complexes import iter_bits
+from torus_rips.complexes import collapse_edges, iter_bits
 from torus_rips.errors import (
     BudgetError,
     SimplexBudgetError,
@@ -180,6 +180,98 @@ class TestVrGraph:
         n = space.point_count
         assert graph.edge_count() == n * 84 // 2  # a radius-6 L1 ball has 85 points
         assert calls[0] < n * (n - 1) // 4
+
+
+def edge_set(graph):
+    return {(u, v) for u in range(graph.vertex_count) for v in iter_bits(graph.masks[u]) if u < v}
+
+
+def dominated_edges(graph):
+    """Edges uv with a common neighbour w and N[u] & N[v] <= N[w], from closed-neighbourhood sets."""
+    closed = [set(iter_bits(m)) | {v} for v, m in enumerate(graph.masks)]
+    return {
+        (u, v) for u, v in edge_set(graph)
+        if any(closed[u] & closed[v] <= closed[w] for w in closed[u] & closed[v] - {u, v})
+    }
+
+
+def reference_collapse(graph):
+    """Dominated-edge removal on neighbourhood sets: the edges left and the edges scanned.
+
+    Each pass scans the edges present at its start in ascending order, testing
+    each against the sets as they are then; passes repeat until one removes
+    nothing.
+    """
+    closed = [set(iter_bits(m)) | {v} for v, m in enumerate(graph.masks)]
+    scanned = 0
+    removed = True
+    while removed:
+        removed = False
+        for u, v in sorted((u, v) for u, near in enumerate(closed) for v in near if u < v):
+            scanned += 1
+            common = closed[u] & closed[v]
+            if any(common <= closed[w] for w in common - {u, v}):
+                closed[u].remove(v)
+                closed[v].remove(u)
+                removed = True
+    return {(u, v) for u, near in enumerate(closed) for v in near if u < v}, scanned
+
+
+class TestCollapseEdges:
+    @given(st.one_of(weighted_graph_spaces(), relabelled_tori(), windows, cycles),
+           st.integers(min_value=1, max_value=4))
+    @example(tr.cycle_space(3), 1)
+    @settings(deadline=None, max_examples=80)
+    def test_removes_dominated_edges_to_a_fixed_point(self, space, k):
+        graph = tr.vr_graph(space, k)
+        collapsed = collapse_edges(graph)
+        assert collapsed.vertex_count == graph.vertex_count
+        assert not dominated_edges(collapsed)
+        assert edge_set(collapsed) <= edge_set(graph)
+        assert edge_set(collapsed) == reference_collapse(graph)[0]
+        assert collapse_edges(collapsed).masks == collapsed.masks
+        assert collapse_edges(graph).masks == collapsed.masks
+
+    def test_triangle_collapses_to_a_path(self):
+        # Edge 01 goes, dominated by 2; then no edge has a common neighbour.
+        triangle = tr.Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        assert edge_set(collapse_edges(triangle)) == {(0, 2), (1, 2)}
+
+    @pytest.mark.parametrize(
+        "n,k,before,after",
+        [(13, 4, 3380, 273), (12, 4, 2880, 1176), (9, 4, 1620, 1492),
+         (6, 3, 396, 396), (8, 6, 1856, 1856)],
+    )
+    def test_torus_edge_counts(self, n, k, before, after):
+        graph = tr.vr_graph(tr.torus_space(n), k)
+        assert graph.edge_count() == before
+        assert collapse_edges(graph).edge_count() == after
+
+    def test_deadline_checked_within_a_pass(self, monkeypatch):
+        # A clock that ticks once per reading: the collapse must stop partway
+        # through its edges, not run the pass to its end.
+        class Clock:
+            ticks = 0
+
+            def monotonic(self):
+                Clock.ticks += 1
+                return Clock.ticks
+
+        graph = tr.vr_graph(tr.torus_space(12), 4)
+        monkeypatch.setattr(tr.complexes, "time", Clock())
+        collapse_edges(graph, deadline=float("inf"))
+        readings = Clock.ticks
+        # One reading per 4096 edges scanned, across passes.
+        scanned = reference_collapse(graph)[1]
+        assert scanned > 4096
+        assert readings == -(-scanned // 4096)
+        for late in (0.5, 1.5):
+            Clock.ticks = 0
+            with pytest.raises(BudgetError, match="^time budget exceeded while collapsing edges$"):
+                collapse_edges(graph, deadline=readings - late)
+        Clock.ticks = 0
+        with pytest.raises(BudgetError, match="collapsing edges"):
+            tr.compute_profile(tr.torus_space(12), 4, tr.RunConfig(max_dim=2), deadline=0.5)
 
 
 class TestEnumerateSimplices:

@@ -61,13 +61,19 @@ class TestComputeProfile:
         assert profile.betti == (1, 0, 0, 0)
 
     def test_torus_profile(self):
+        raw = tr.betti_gf2(tr.vr_graph(tr.torus_space(7), 2), 2)
+        assert raw.betti == (1, 2, 1)
+        # Counted through dimension 3; that layer is never built.
+        assert raw.counts == (49, 294, 490, 294)
+        # The edge collapse leaves 119 of the 294 edges and no tetrahedron,
+        # so the collapsed complex is whole at dimension 2 and euler is known.
         profile, counts = tr.compute_profile(
             tr.torus_space(7), 2, tr.RunConfig(max_dim=2)
         )
         assert profile.betti == (1, 2, 1)
         assert profile.coefficients == "gf2"
-        # Counted through dimension 3; that layer is never built.
-        assert counts == (49, 294, 490, 294)
+        assert counts == profile.counts == (49, 119, 70)
+        assert (profile.euler, profile.truncated_at) == (0, None)
 
     def test_full_enumeration(self):
         # The octahedron: the stream ends on its top layer of triangles.
@@ -121,7 +127,11 @@ class TestCertifyTorus:
         fp, profile, antipode, conn = tr.certify_torus(7, 2, tr.RunConfig())
         assert fp.claim == "torus"
         assert fp.level == "consistent"
-        assert profile.betti == (1, 2, 1, 0, 0)
+        raw = tr.betti_gf2(tr.vr_graph(tr.torus_space(7), 2), None)
+        assert raw.betti == (1, 2, 1, 0, 0)
+        assert raw.truncated_at is None
+        # The collapsed complex has no simplex above dimension 2.
+        assert profile.betti == (1, 2, 1)
         assert profile.truncated_at is None
         assert not antipode.is_antipode
         assert conn.certified_k == -1
@@ -130,7 +140,8 @@ class TestCertifyTorus:
         fp, profile, _, _ = tr.certify_torus(5, 2, tr.RunConfig())
         assert fp.claim == "wedge_S2(9)"
         assert fp.level == "consistent"
-        assert profile.betti == (1, 0, 9, 0, 0)
+        assert tr.betti_gf2(tr.vr_graph(tr.torus_space(5), 2), None).betti == (1, 0, 9, 0, 0)
+        assert profile.betti == (1, 0, 9, 0)
 
     def test_integer_full_run_earns_wedge_certificate(self):
         fp, profile, antipode, conn = tr.certify_torus(
