@@ -10,7 +10,7 @@ in one dimension pins down a wedge of spheres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Graph
@@ -61,13 +61,15 @@ class ConnectivityCertificate:
     ``certified_k`` = -1 means even pairwise intersection could not be
     certified.  A certificate at k >= 1 implies the complex is simply
     connected.  ``method`` is always ``"counting"``, the one way the bound
-    is computed.
+    is computed; ``min_ball`` is the smallest closed-ball size and
+    ``points`` the point count the count ran on.
     """
 
     scale: int
     method: str
     certified_k: int
-    detail: dict = field(default_factory=dict, compare=False)
+    min_ball: int
+    points: int
 
 
 def connectivity_bound(graph: Graph, r: int, max_k: int) -> ConnectivityCertificate:
@@ -91,9 +93,7 @@ def connectivity_bound(graph: Graph, r: int, max_k: int) -> ConnectivityCertific
         if size - (2 * k + 2) * (size - min_ball) < 1:
             break
         certified = k
-    return ConnectivityCertificate(
-        r, "counting", certified, {"min_ball": min_ball, "points": size}
-    )
+    return ConnectivityCertificate(r, "counting", certified, min_ball, size)
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,10 @@ class Fingerprint:
 
     claim: str
     level: str
-    consistent: bool
-    evidence: dict = field(compare=False, default_factory=dict)
+
+    @property
+    def consistent(self) -> bool:
+        return self.level != "inconsistent"
 
 
 def expected_torus_profile(n: int, k: int) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -197,42 +199,26 @@ def fingerprint(
     profile for the (n, k) regime, or to ``unknown``.
     """
     expected = expected_torus_profile(n, k)
-    evidence: dict = {
-        "n": n,
-        "k": k,
-        "expected": None if expected is None else list(expected[1]),
-        "betti": None if profile is None else list(profile.betti),
-        "coefficients": None if profile is None else profile.coefficients,
-        "profile_depth": None if profile is None else len(profile.betti) - 1,
-        "connectivity_k": None if conn is None else conn.certified_k,
-        "antipode": antipode.is_antipode if antipode is not None else None,
-    }
 
     if antipode is not None and antipode.is_antipode:
         d = antipode.cross_polytope_dim - 1
-        claim = f"sphere({d})"
         consistent = True
         if profile is not None:
             sphere_profile = (1,) + (0,) * (d - 1) + (1,) if d >= 1 else (2,)
             consistent = _profile_matches(profile, sphere_profile)
-        evidence["certificate"] = "cross-polytope boundary"
-        return Fingerprint(claim, "certified" if consistent else "inconsistent",
-                           consistent, evidence)
+        return Fingerprint(f"sphere({d})", "certified" if consistent else "inconsistent")
 
     license_ = _wedge_license(profile, conn)
     if license_ is not None:
         d, count = license_
         claim = f"sphere({d})" if count == 1 else f"wedge_S{d}({count})"
         consistent = expected is None or _profile_matches(profile, expected[1])
-        evidence["certificate"] = "simple connectivity + free concentrated homology"
-        return Fingerprint(claim, "certified" if consistent else "inconsistent",
-                           consistent, evidence)
+        return Fingerprint(claim, "certified" if consistent else "inconsistent")
 
     if expected is not None:
         if profile is None:
             raise ValueError("a Betti profile is required when no certificate applies")
         consistent = _profile_matches(profile, expected[1])
-        return Fingerprint(expected[0], "consistent" if consistent else "inconsistent",
-                           consistent, evidence)
+        return Fingerprint(expected[0], "consistent" if consistent else "inconsistent")
 
-    return Fingerprint("unknown", "consistent", True, evidence)
+    return Fingerprint("unknown", "consistent")

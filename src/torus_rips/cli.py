@@ -8,7 +8,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__
@@ -23,6 +23,7 @@ from .facets import (
     z2_facets_in_window,
 )
 from .pipeline import (
+    COEFFICIENTS,
     RunConfig,
     build_space,
     certify_torus,
@@ -100,9 +101,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     budget = _setting(args.budget, "SIMPLEX_BUDGET", int, DEFAULT_SIMPLEX_BUDGET)
     time_budget = _setting(args.time_budget, "TIME_BUDGET_SECS", float, None)
     return RunConfig(
-        coefficients=getattr(args, "coefficients", "gf2"),
+        # verify-table's --coefficients filters rows, and each row sets its ring.
+        coefficients=args.coefficients or "gf2",
         max_dim=getattr(args, "max_dim", None),
-        simplex_budget=budget if budget > 0 else None,
+        simplex_budget=budget or None,
         time_budget_secs=time_budget,
     )
 
@@ -298,18 +300,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         claim=fp.claim,
         level=fp.level,
         consistent=fp.consistent,
-        antipode={
-            "is_antipode": antipode.is_antipode,
-            "pairs": [list(p) for p in antipode.pairs],
-            "cross_polytope_dim": antipode.cross_polytope_dim,
-        },
-        connectivity={
-            "scale": conn.scale,
-            "method": conn.method,
-            "certified_k": conn.certified_k,
-            "min_ball": conn.detail.get("min_ball"),
-            "points": conn.detail.get("points"),
-        },
+        antipode=asdict(antipode),
+        connectivity=asdict(conn),
         betti=None if profile is None else list(profile.betti),
         torsion=None if profile is None else [list(t) for t in profile.torsion],
         euler=None if profile is None else profile.euler,
@@ -332,7 +324,7 @@ def _add_common(parser: argparse.ArgumentParser, *, coefficients: bool = True) -
                         help="wall-clock budget in seconds (default from TIME_BUDGET_SECS)")
     _add_no_timing(parser)
     if coefficients:
-        parser.add_argument("--coefficients", choices=["gf2", "integer"], default="gf2")
+        parser.add_argument("--coefficients", choices=COEFFICIENTS, default="gf2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="filter rows by n (single value or lo:hi)")
     p_verify.add_argument("--k", type=_parse_range, default=None,
                           help="filter rows by k (single value or lo:hi)")
-    p_verify.add_argument("--coefficients", choices=["gf2", "integer"], default=None)
+    p_verify.add_argument("--coefficients", choices=COEFFICIENTS, default=None)
     p_verify.add_argument("--golden-file", default=None,
                           help="alternative golden table (defaults to the packaged one)")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")

@@ -32,6 +32,9 @@ from .homology import BettiProfile, betti_gf2, homology_integer
 from .spaces import FiniteMetricSpace, Window, cycle_space, torus_space, window_space
 
 
+COEFFICIENTS = ("gf2", "integer")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs beyond the space itself; mirrored into output."""
@@ -42,6 +45,14 @@ class RunConfig:
     time_budget_secs: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.coefficients not in COEFFICIENTS:
+            raise ValueError(f"unknown coefficients {self.coefficients!r}")
+        if self.max_dim is not None and self.max_dim < 0:
+            raise ValueError(f"max_dim must be nonnegative or None, got {self.max_dim}")
+        # None disables the simplex budget; zero would refuse even the vertices.
+        b = self.simplex_budget
+        if b is not None and b <= 0:
+            raise ValueError(f"simplex budget must be positive or None, got {b}")
         # A NaN deadline never compares as passed, so it would bound nothing.
         t = self.time_budget_secs
         if t is not None and not (math.isfinite(t) and t >= 0):
@@ -102,9 +113,7 @@ def compute_profile(
             truncated_at=None,
         ), None
 
-    reduce = {"gf2": betti_gf2, "integer": homology_integer}.get(config.coefficients)
-    if reduce is None:
-        raise ValueError(f"unknown coefficients {config.coefficients!r}")
+    reduce = betti_gf2 if config.coefficients == "gf2" else homology_integer
     graph = collapse_edges(graph, deadline)
     profile = reduce(graph, max_dim, deadline=deadline, budget=config.simplex_budget)
     return profile, profile.counts
@@ -166,6 +175,16 @@ class GoldenRow:
     skip: bool = False
     skip_reason: str = ""
 
+    def __post_init__(self) -> None:
+        numbers = {"n": self.n, "k": self.k, "max_dim": self.max_dim}
+        numbers.update((f"expected[{d}]", b) for d, b in self.expected.items())
+        for name, value in numbers.items():
+            # bool is a subclass of int, but true is no count.
+            if type(value) is not int or value < 0:
+                raise TypeError(f"{name} must be a nonnegative integer, got {value!r}")
+        if self.coefficients not in COEFFICIENTS:
+            raise ValueError(f"unknown coefficients {self.coefficients!r}")
+
     def expected_betti(self) -> tuple[int, ...]:
         return tuple(
             self.expected.get(d, 1 if d == 0 else 0) for d in range(self.max_dim + 1)
@@ -176,8 +195,9 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
     """Load the golden homology table from the packaged data file or a path.
 
     A file that cannot be read or parsed, or a row that lacks a required
-    key or is not an object, raises ValueError naming the file (and the row
-    index).
+    key, is not an object, names an unknown ring or holds a count that is
+    not a nonnegative integer, raises ValueError naming the file (and the
+    row index).
     """
     if path is None:
         path = "packaged golden_table.json"
@@ -212,7 +232,7 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
             )
         except KeyError as exc:
             raise ValueError(f"golden table {path}: row {i} lacks key {exc.args[0]!r}") from exc
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"golden table {path}: row {i} is malformed: {exc}") from exc
     return rows
 

@@ -92,7 +92,7 @@ def test_criterion_3_integer_homology_and_connectivity_certificates():
     assert all(t == () for t in profile5.torsion)
     # Counting certificate: 25 points, smallest ball 21, so any four balls
     # miss at most 16 points and must share one: 25 - 4 * (25 - 21) = 9 >= 1.
-    assert conn5.detail["min_ball"] == 21
+    assert conn5.min_ball == 21
     assert 25 - 4 * (25 - 21) == 9 >= 1
     assert conn5.certified_k == 1
     assert fp5.claim == "wedge_S4(9)"
@@ -109,7 +109,7 @@ def test_criterion_3_integer_homology_and_connectivity_certificates():
     assert all(b == 0 for b in profile7.betti[4:])
     assert all(t == () for t in profile7.torsion)
     # 49 - 4 * (49 - 37) = 1 >= 1: the tightest counting certificate in use.
-    assert conn7.detail["min_ball"] == 37
+    assert conn7.min_ball == 37
     assert 49 - 4 * (49 - 37) == 1 >= 1
     assert conn7.certified_k == 1
     assert fp7.claim == "sphere(3)"

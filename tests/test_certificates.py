@@ -1,5 +1,6 @@
 """Tests for antipode detection, connectivity bounds, and fingerprints."""
 
+import dataclasses
 import functools
 import itertools
 import operator
@@ -134,13 +135,13 @@ class TestConnectivityBound:
         cert = tr.connectivity_bound(tr.vr_graph(tr.torus_space(5), 3), 3, max_k=3)
         assert cert.method == "counting"
         assert cert.scale == 3
-        assert cert.detail["min_ball"] == 21
-        assert cert.detail["points"] == 25
+        assert cert.min_ball == 21
+        assert cert.points == 25
         # 25 - (2k + 2) * 4 stays positive through k = 2.
         assert cert.certified_k == 2
 
         cert = tr.connectivity_bound(tr.vr_graph(tr.torus_space(7), 4), 4, max_k=3)
-        assert cert.detail["min_ball"] == 37
+        assert cert.min_ball == 37
         # 49 - 4 * 12 = 1 certifies k = 1 and nothing above.
         assert cert.certified_k == 1
 
@@ -195,7 +196,7 @@ class TestConnectivityBound:
         for r in range(diameter + 1):
             cert = tr.connectivity_bound(tr.vr_graph(space, r), r, max_k=1)
             want = closed_ball_certificate(space, r, 1, "counting")
-            assert (cert.certified_k, cert.detail["min_ball"]) == want
+            assert (cert.certified_k, cert.min_ball) == want
             assert cert.method == "counting"
 
     def test_validation(self):
@@ -247,7 +248,10 @@ def integer_profile(betti, torsion=None, truncated_at=None):
 
 
 def conn_cert(k):
-    return tr.ConnectivityCertificate(scale=3, method="counting", certified_k=k)
+    # fingerprint reads only certified_k; the ball counts are those of T5 k3.
+    return tr.ConnectivityCertificate(
+        scale=3, method="counting", certified_k=k, min_ball=21, points=25
+    )
 
 
 class TestFingerprint:
@@ -257,7 +261,6 @@ class TestFingerprint:
         assert fp.claim == "sphere(7)"
         assert fp.level == "certified"
         assert fp.consistent
-        assert fp.evidence["certificate"] == "cross-polytope boundary"
 
     def test_antipode_with_matching_profile(self):
         cx = torus_cx(4, 3, 16)
@@ -279,9 +282,6 @@ class TestFingerprint:
         fp = tr.fingerprint(profile, None, conn_cert(1), 5, 3)
         assert fp.claim == "wedge_S4(9)"
         assert fp.level == "certified"
-        assert fp.evidence["certificate"] == (
-            "simple connectivity + free concentrated homology"
-        )
 
     def test_wedge_license_single_sphere(self):
         profile = integer_profile((1, 0, 0, 1))
@@ -334,19 +334,15 @@ class TestFingerprint:
         with pytest.raises(ValueError, match="profile is required"):
             tr.fingerprint(None, None, None, 7, 2)
 
+    def test_consistent_follows_level(self):
+        assert [f.name for f in dataclasses.fields(tr.Fingerprint)] == ["claim", "level"]
+        levels = ("certified", "consistent", "inconsistent")
+        assert [tr.Fingerprint("torus", level).consistent for level in levels] == [
+            True, True, False
+        ]
+
     def test_unknown_regime(self):
         profile = tr.BettiProfile("gf2", (1, 0, 0, 9), ((),) * 4, None, None)
         fp = tr.fingerprint(profile, None, None, 4, 2)
         assert fp.claim == "unknown"
         assert fp.consistent
-
-    def test_evidence_fields(self):
-        cx = torus_cx(7, 2, 3)
-        profile = tr.betti_gf2(cx.graph, 2)
-        fp = tr.fingerprint(profile, None, conn_cert(-1), 7, 2)
-        assert fp.evidence["n"] == 7
-        assert fp.evidence["k"] == 2
-        assert fp.evidence["betti"] == [1, 2, 1]
-        assert fp.evidence["expected"] == [1, 2, 1]
-        assert fp.evidence["connectivity_k"] == -1
-        assert fp.evidence["coefficients"] == "gf2"

@@ -176,6 +176,34 @@ class TestBettiCommand:
         assert code == 2
         assert read_error(err)["error"] == "validation"
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_budget_is_rejected(self, capsys, monkeypatch, source):
+        # The time budget bounds the run should the budget be taken as none.
+        argv = ["betti", "--space", "torus", "--n", "8", "--k", "6", "--max-dim", "6",
+                "--time-budget", "3"]
+        if source == "flag":
+            argv += ["--budget", "-5"]
+        else:
+            monkeypatch.setenv("SIMPLEX_BUDGET", "-5")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        payload = read_error(err)
+        assert payload["error"] == "validation"
+        assert "simplex budget must be positive" in payload["message"]
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_zero_budget_disables(self, capsys, monkeypatch, source):
+        argv = ["betti", "--space", "torus", "--n", "6", "--k", "2", "--max-dim", "3"]
+        monkeypatch.setenv("SIMPLEX_BUDGET", "100")
+        if source == "flag":
+            argv += ["--budget", "0"]
+        else:
+            monkeypatch.setenv("SIMPLEX_BUDGET", "0")
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["config"]["simplex_budget"] is None
+        assert payload["betti"] == [1, 0, 23, 0]
+
     @pytest.mark.parametrize("name", ["SIMPLEX_BUDGET", "TIME_BUDGET_SECS"])
     def test_unparsable_budget_env_is_named(self, capsys, monkeypatch, name):
         monkeypatch.setenv(name, "abc")
@@ -378,8 +406,22 @@ class TestVerifyTableCommand:
             (json.dumps({"table": [GOLDEN_ROW]}), ["'rows'"]),
             (json.dumps({"rows": [["torus", 3, 1]]}), ["row 0", "malformed"]),
             ("{not json", ["not a JSON object"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "n": "5"}]}),
+             ["row 1", "n must be a nonnegative integer, got '5'"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "max_dim": "2"}]}),
+             ["row 0", "max_dim must be a nonnegative integer, got '2'"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "expected": {"two": 9}}]}),
+             ["row 0", "malformed", "'two'"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "expected": {"1": "4"}}]}),
+             ["row 0", "expected[1] must be a nonnegative integer, got '4'"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "max_dim": -1}]}),
+             ["row 0", "max_dim must be a nonnegative integer, got -1"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "coefficients": "rational"}]}),
+             ["row 0", "unknown coefficients 'rational'"]),
         ],
-        ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json"],
+        ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json",
+             "n-as-string", "max-dim-as-string", "expected-key-not-dimension",
+             "betti-as-string", "negative-max-dim", "unknown-ring"],
     )
     def test_malformed_golden_table_is_validation_error(
         self, capsys, tmp_path, text, fragments

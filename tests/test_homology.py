@@ -565,6 +565,15 @@ class TestHomologyInteger:
         assert profile.torsion == ((), (), (2,), ())
         assert smith_calls == [1]
 
+    def test_torus_13_scale_5_torsion(self, smith_calls):
+        # The first torus with torsion: H_3 = Z^3 + (Z/2)^24.  Its 24 factors
+        # of 2 come out of one dense finish on 25 residual columns.
+        config = tr.RunConfig(coefficients="integer", max_dim=4)
+        profile, _ = tr.compute_profile(tr.torus_space(13), 5, config)
+        assert profile.betti == (1, 0, 0, 3, 2)
+        assert profile.torsion == ((), (), (), (2,) * 24, ())
+        assert smith_calls == [25]
+
     def test_residual_is_finished_on_pivot_rows(self, smith_calls):
         # Vertices 6 and 11 are the midpoints of the edges 01 and 12 of the
         # six-vertex RP2.  Joining them adds one triangle on vertex 1 and
@@ -784,6 +793,29 @@ def test_cases_include_columns_without_extensions():
             for keys, cands in tr.complexes.iter_layers(graph)
             for key, cand in zip(keys, cands)
         )
+
+
+@pytest.mark.parametrize(
+    "space,k,max_dim",
+    [
+        (graph_space(projective_plane_subdivision()), 1, 2),
+        (graph_space(suspension(projective_plane_subdivision())), 1, 3),
+        (tr.torus_space(13), 5, 4),
+    ],
+    ids=["rp2", "rp2-suspension", "torus-13-k5"],
+)
+def test_universal_coefficients_across_rings(space, k, max_dim):
+    # Over GF(2), every even invariant factor of H_d(Z) adds one to the Betti
+    # numbers of dimensions d and d + 1; odd factors vanish.
+    integer, _ = tr.compute_profile(space, k, tr.RunConfig("integer", max_dim))
+    gf2, _ = tr.compute_profile(space, k, tr.RunConfig("gf2", max_dim))
+    assert any(integer.torsion)
+
+    def even(d):
+        return sum(1 for t in integer.torsion[d] if t % 2 == 0) if d >= 0 else 0
+
+    want = tuple(b + even(d) + even(d - 1) for d, b in enumerate(integer.betti))
+    assert gf2.betti == want
 
 
 class TestExpectedCycleProfile:

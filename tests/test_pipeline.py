@@ -30,6 +30,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="time budget"):
             tr.RunConfig(time_budget_secs=secs)
 
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ({"coefficients": "rational"}, "unknown coefficients 'rational'"),
+            ({"max_dim": -1}, "max_dim must be nonnegative"),
+            ({"simplex_budget": 0}, "simplex budget must be positive"),
+            ({"simplex_budget": -5}, "simplex budget must be positive"),
+        ],
+        ids=["ring", "max-dim", "zero-budget", "negative-budget"],
+    )
+    def test_rejects_invalid_setting(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            tr.RunConfig(**setting)
+
 
 class TestBuildSpace:
     def test_dispatch(self):
