@@ -25,7 +25,7 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
-# Parents extended, or edges tested, between two readings of the deadline clock.
+# Parents extended, or edges visited, between two readings of the deadline clock.
 _DEADLINE_CHUNK = 4096
 
 # Farthest-point landmarks whose distance rows filter the pairs of vr_graph.
@@ -151,23 +151,48 @@ def collapse_edges(graph: Graph, deadline: float | None = None) -> Graph:
 
     Edge uv is dominated when a common neighbour w has N[u] ∩ N[v] ⊆ N[w], and
     removing it keeps the flag complex's homotopy type (Boissonnat & Pritam,
-    SoCG 2020).  Each pass tests the edges u < v in ascending order against
-    the current masks; the deadline is read every 4096 edges.
+    SoCG 2020).  Each pass visits the edges u < v in ascending order against
+    the current masks, until a pass removes nothing.
+
+    Masks only lose bits, so an edge found undominated stays so until u or v
+    loses a neighbour: its common neighbourhood C is unchanged and every N[w]
+    has only shrunk.  Pass 1 tests every edge; a later pass tests uv only if
+    u or v lost an edge in the previous pass or earlier in this one, and
+    skips the rest.  A dominator of uv is adjacent to every other vertex of
+    C, so the search tests the lowest candidate w and, if it fails, keeps
+    only the candidates in N(w).  The edges removed, and their order, are
+    those of a full rescan.  The deadline is read every 4096 edges visited,
+    skipped ones included.
     """
-    masks, scanned, removed = list(graph.masks), 0, True
-    while removed:
-        removed = False
+    # changed: vertices that lost an edge this pass; -1 (all of them) before pass 1.
+    masks, visited, changed = list(graph.masks), 0, -1
+    while changed:
+        active, changed = changed, 0
         for u in range(graph.vertex_count):
-            for v in iter_bits(masks[u] & -(2 << u)):
-                if scanned % _DEADLINE_CHUNK == 0 and deadline is not None \
+            bit = 1 << u
+            row = masks[u] & -(bit << 1)
+            while row:
+                low = row & -row
+                row ^= low
+                if visited % _DEADLINE_CHUNK == 0 and deadline is not None \
                         and time.monotonic() > deadline:
                     raise BudgetError("time budget exceeded while collapsing edges")
-                scanned += 1
+                visited += 1
+                if not active & (bit | low):
+                    continue
+                v = low.bit_length() - 1
                 common = masks[u] & masks[v]
-                if any(common & ~masks[w] == 1 << w for w in iter_bits(common)):
-                    masks[u] ^= 1 << v
-                    masks[v] ^= 1 << u
-                    removed = True
+                left = common
+                while left:
+                    w = left & -left
+                    near = masks[w.bit_length() - 1]
+                    if common & ~near == w:
+                        masks[u] ^= low
+                        masks[v] ^= bit
+                        changed |= bit | low
+                        active |= bit | low
+                        break
+                    left &= near
     return Graph(vertex_count=graph.vertex_count, masks=tuple(masks))
 
 

@@ -184,6 +184,9 @@ class GoldenRow:
                 raise TypeError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.coefficients not in COEFFICIENTS:
             raise ValueError(f"unknown coefficients {self.coefficients!r}")
+        # build_space needs only n for these two kinds.
+        if self.space not in ("cycle", "torus"):
+            raise ValueError(f"space must be 'cycle' or 'torus', got {self.space!r}")
 
     def expected_betti(self) -> tuple[int, ...]:
         return tuple(
@@ -195,9 +198,9 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
     """Load the golden homology table from the packaged data file or a path.
 
     A file that cannot be read or parsed, or a row that lacks a required
-    key, is not an object, names an unknown ring or holds a count that is
-    not a nonnegative integer, raises ValueError naming the file (and the
-    row index).
+    key, is not an object, names an unknown ring, names a space other than a
+    cycle or a torus, or holds a count that is not a nonnegative integer,
+    raises ValueError naming the file (and the row index).
     """
     if path is None:
         path = "packaged golden_table.json"

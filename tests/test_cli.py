@@ -418,10 +418,15 @@ class TestVerifyTableCommand:
              ["row 0", "max_dim must be a nonnegative integer, got -1"]),
             (json.dumps({"rows": [{**GOLDEN_ROW, "coefficients": "rational"}]}),
              ["row 0", "unknown coefficients 'rational'"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "space": "sphere"}]}),
+             ["row 1", "space must be 'cycle' or 'torus', got 'sphere'"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "space": "window"}]}),
+             ["row 0", "space must be 'cycle' or 'torus', got 'window'"]),
         ],
         ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json",
              "n-as-string", "max-dim-as-string", "expected-key-not-dimension",
-             "betti-as-string", "negative-max-dim", "unknown-ring"],
+             "betti-as-string", "negative-max-dim", "unknown-ring",
+             "unknown-space", "window-space"],
     )
     def test_malformed_golden_table_is_validation_error(
         self, capsys, tmp_path, text, fragments

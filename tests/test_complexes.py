@@ -44,15 +44,20 @@ def matrix_space(rows, label):
     )
 
 
+def random_graph(n, density, seed):
+    """A seeded random graph on n vertices, each pair an edge with the given probability."""
+    rng = random.Random(seed)
+    pairs = itertools.combinations(range(n), 2)
+    return tr.Graph.from_edges(n, [pair for pair in pairs if rng.random() < density])
+
+
 def random_graph_space(n, density, seed):
-    """Distance 1 on the edges of a seeded random graph, 2 elsewhere.
+    """Distance 1 on the edges of ``random_graph(n, density, seed)``, 2 elsewhere.
 
     Its scale-1 graph is the random graph itself.
     """
-    rng = random.Random(seed)
-    rows = [[0] * n for _ in range(n)]
-    for u, v in itertools.combinations(range(n), 2):
-        rows[u][v] = rows[v][u] = 1 if rng.random() < density else 2
+    graph = random_graph(n, density, seed)
+    rows = [[0 if u == v else 2 - graph.has_edge(u, v) for v in range(n)] for u in range(n)]
     return matrix_space(rows, f"random graph {n} {density} {seed}")
 
 
@@ -232,6 +237,28 @@ class TestCollapseEdges:
         assert collapse_edges(collapsed).masks == collapsed.masks
         assert collapse_edges(graph).masks == collapsed.masks
 
+    @given(st.one_of(
+        st.builds(tr.vr_graph, relabelled_tori(), st.integers(min_value=1, max_value=6)),
+        st.builds(random_graph, st.integers(min_value=4, max_value=40),
+                  st.floats(min_value=0.3, max_value=0.95),
+                  st.integers(min_value=0, max_value=2**32 - 1)),
+    ))
+    @settings(deadline=None, max_examples=60)
+    def test_skipped_edges_match_a_full_rescan(self, graph):
+        # Dense graphs need several passes, and from the second pass on the
+        # collapse tests only edges with an end that lost a neighbour.  It
+        # must remove what a full rescan removes and visit as many edges:
+        # with one edge per deadline chunk, a clock reading is one visit.
+        readings = itertools.count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tr.complexes, "_DEADLINE_CHUNK", 1)
+            mp.setattr(tr.complexes, "time", type("Clock", (), {
+                "monotonic": staticmethod(lambda: next(readings))}))
+            collapsed = collapse_edges(graph, deadline=float("inf"))
+        edges, scanned = reference_collapse(graph)
+        assert edge_set(collapsed) == edges
+        assert next(readings) == scanned
+
     def test_triangle_collapses_to_a_path(self):
         # Edge 01 goes, dominated by 2; then no edge has a common neighbour.
         triangle = tr.Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -240,7 +267,9 @@ class TestCollapseEdges:
     @pytest.mark.parametrize(
         "n,k,before,after",
         [(13, 4, 3380, 273), (12, 4, 2880, 1176), (9, 4, 1620, 1492),
-         (6, 3, 396, 396), (8, 6, 1856, 1856)],
+         (6, 3, 396, 396), (8, 6, 1856, 1856),
+         # 7, 4 and 4 passes: most edge tests fall where the skip rule applies.
+         (7, 4, 882, 77), (13, 5, 5070, 3632), (16, 6, 10752, 6077)],
     )
     def test_torus_edge_counts(self, n, k, before, after):
         graph = tr.vr_graph(tr.torus_space(n), k)
