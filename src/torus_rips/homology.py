@@ -9,10 +9,10 @@ the top reported dimension is only counted.  Each coboundary column comes
 from the graph's adjacency bitmasks on demand, so no tuple, boundary matrix
 or face index is built.  Over the integers a reduced column whose low entry
 is not +/-1 is set aside, and once the dimension is reduced, what is left of
-those columns off the unit pivots' rows goes to a sparse Smith normal form,
-which eliminates on unit entries first and finishes any leftover core
-densely.  All arithmetic is on Python ints, so overflow cannot occur and
-torsion is read off the invariant factors.
+those columns off the unit pivots' rows goes to ``smith_invariants``, which
+runs the same unit-pivot steps on it and finishes any leftover core densely.
+All arithmetic is on Python ints, so overflow cannot occur and torsion is
+read off the invariant factors.
 
 Both rings are bounded in size only by the simplex budget and in time by the
 deadline.  The one fixed limit is ``_DENSE_CORE_LIMIT`` entries in the dense
@@ -26,7 +26,6 @@ the library does not call them, and the tests use them as the reference.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
@@ -154,80 +153,32 @@ def smith_invariants(
 ) -> tuple[int, tuple[int, ...]]:
     """Rank and nontrivial invariant factors of a sparse integer matrix.
 
-    Phase one repeatedly eliminates entries of absolute value 1, choosing
-    among them the pivot with the smallest fill estimate; every such step is
-    unimodular and contributes an invariant factor of 1.  Whatever survives
-    has no unit entries and is handed to a dense textbook Smith normal form,
-    refused with BudgetError when it would hold more than
-    ``_DENSE_CORE_LIMIT`` entries.
+    The columns are reduced left to right on the unit lows of a pivot map
+    keyed by the largest row index, and the residual columns are finished on
+    the pivot rows: the steps ``_add_column`` and ``_finish_residual`` of the
+    coboundary reducer.  What is left of the residual columns goes to a
+    dense textbook Smith normal form, refused with BudgetError when it would
+    hold more than ``_DENSE_CORE_LIMIT`` entries.
 
     Returns:
         (rank, factors) where factors are the invariant factors greater
         than 1 in divisibility order.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    pivots: dict[int, dict[int, int]] = {}
+    residual: list[dict[int, int]] = []
     for j, col in enumerate(columns):
-        live = {r: v for r, v in col.items() if v}
-        if live:
-            cols[j] = set(live)
-            for r, v in live.items():
-                rows.setdefault(r, {})[j] = v
-    for r in rows:
-        if not 0 <= r < n_rows:
-            raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
-
-    rank = 0
-    pending = deque(sorted(cols))
-    queued = set(pending)
-    steps = 0
-    while pending:
-        c0 = pending.popleft()
-        queued.discard(c0)
-        colset = cols.get(c0)
-        if not colset:
-            continue
-        steps += 1
-        if deadline is not None and steps % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetError("time budget exceeded during integer elimination")
-        best = None
-        for r in colset:
-            v = rows[r][c0]
-            if v == 1 or v == -1:
-                key = ((len(rows[r]) - 1) * (len(colset) - 1), r)
-                if best is None or key < best[0]:
-                    best = (key, r, v)
-        if best is None:
-            continue
-        _, r0, v0 = best
-        rank += 1
-        col_entries = [(r, rows[r][c0]) for r in cols[c0] if r != r0]
-        row_entries = [(c, rows[r0][c]) for c in rows[r0] if c != c0]
-        for c, a in row_entries:
-            f = a * v0  # v0 is +/-1, so this is exact division a / v0
-            target = cols[c]
-            for r, b in col_entries:
-                rowmap = rows[r]
-                nv = rowmap.get(c, 0) - f * b
-                if nv:
-                    rowmap[c] = nv
-                    target.add(r)
-                else:
-                    if c in rowmap:
-                        del rowmap[c]
-                    target.discard(r)
-            target.discard(r0)
-            if target and c not in queued:
-                pending.append(c)
-                queued.add(c)
-        for r, _ in col_entries:
-            rows[r].pop(c0, None)
-        del rows[r0]
-        del cols[c0]
+        live = {r: v for r, v in col.items() if v}
+        for r in live:
+            if not 0 <= r < n_rows:
+                raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
+        _add_column(live, pivots, residual, (), 0)
+    _finish_residual(residual, pivots, (), deadline)
 
     # Dense finish on whatever the unit pivots could not clear.
-    live_rows = sorted(r for r, entries in rows.items() if entries)
-    live_cols = sorted(c for c, entries in cols.items() if entries)
+    live_rows = sorted(set().union(*residual))
+    live_cols = [col for col in residual if col]
     factors: list[int] = []
     if live_rows:
         entries = len(live_rows) * len(live_cols)
@@ -236,14 +187,13 @@ def smith_invariants(
                 f"dense Smith normal form core of {len(live_rows)} x {len(live_cols)} "
                 f"= {entries} entries, over the limit of {_DENSE_CORE_LIMIT}"
             )
-        col_pos = {c: j for j, c in enumerate(live_cols)}
+        row_pos = {r: i for i, r in enumerate(live_rows)}
         dense = [[0] * len(live_cols) for _ in live_rows]
-        for i, r in enumerate(live_rows):
-            for c, v in rows[r].items():
-                dense[i][col_pos[c]] = v
+        for j, col in enumerate(live_cols):
+            for r, v in col.items():
+                dense[row_pos[r]][j] = v
         factors = _dense_snf_diagonal(dense, deadline)
-        rank += len(factors)
-    return rank, tuple(f for f in factors if f > 1)
+    return len(pivots) + len(factors), tuple(f for f in factors if f > 1)
 
 
 def _dense_snf_diagonal(m: list[list[int]], deadline: float | None = None) -> list[int]:
@@ -370,13 +320,56 @@ def _eliminate(col: dict[int, int], low: int, pivots: dict, masks: Sequence[int]
             del col[r]
 
 
+def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]],
+                masks: Sequence[int], modulus: int) -> None:
+    """Reduce col in place on the unit lows of pivots, then file it.
+
+    It becomes the pivot of its low row, scaled so the low entry is +1, when
+    that entry is +/-1; a column whose low entry is not a unit, which only
+    happens over the integers, is appended to residual; a zero column goes.
+    """
+    while col:
+        low = max(col)
+        if low not in pivots:
+            break
+        _eliminate(col, low, pivots, masks, modulus)
+    if not col:
+        return
+    a = col[low]
+    if a == -1:
+        for r in col:
+            col[r] = -col[r]
+    elif a != 1:
+        residual.append(col)
+        return
+    pivots[low] = col
+
+
+def _finish_residual(residual: list[dict[int, int]], pivots: dict, masks: Sequence[int],
+                     deadline: float | None) -> None:
+    """Reduce each residual column on every pivot row it meets, largest first.
+
+    Each unit pivot then splits off an invariant factor of 1: on the pivot
+    rows the pivots form a triangular matrix with unit diagonal, so row
+    operations from those rows clear the pivots' other entries and leave the
+    residual columns, zero there, alone.  The rank is the pivot count plus
+    the rank of the residual core on the other rows, and the invariant
+    factors are the core's.  The deadline is checked before each column.
+    """
+    for i, col in enumerate(residual):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
+        while (low := max((r for r in col if r in pivots), default=None)) is not None:
+            _eliminate(col, low, pivots, masks, 0)
+
+
 def _coboundary_invariants(
     masks: Sequence[int], keys: Sequence[int], cands: Sequence[int],
     cleared_rows: AbstractSet[int], modulus: int, deadline: float | None,
 ) -> tuple[int, tuple[int, ...], dict[int, int | dict[int, int]]]:
     """Rank and invariant factors > 1 of the coboundary of the layer (keys, cands).
 
-    Reduces the signed coboundary columns left to right by column operations
+    Reduces the signed coboundary columns left to right with ``_add_column``
     against a pivot map keyed by the largest row key, skipping the columns
     of simplices in ``cleared_rows``.  Entries are taken mod ``modulus``
     after each operation when it is nonzero (2 for GF(2)) and kept as exact
@@ -389,15 +382,10 @@ def _coboundary_invariants(
     ones.  The deadline is checked every 4096 columns, cleared ones included.
 
     A reduced column whose low entry is not a unit, which only happens over
-    the integers, is kept as residual.  After the last column each residual
-    column is reduced against the unit pivot of every pivot row it meets,
-    largest first.  Each unit pivot splits off an invariant factor of 1: on
-    the pivot rows the pivots form a triangular matrix with unit diagonal,
-    so row operations from those rows clear the pivots' other entries and
-    leave the residual columns, zero there, alone.  The rank is then the
-    pivot count plus the rank of the residual core on the other rows, and
-    the invariant factors are the core's, from ``smith_invariants`` with
-    the rows renumbered from the columns' own row keys.
+    the integers, is kept as residual and finished by ``_finish_residual``
+    after the last column.  The invariant factors are then the residual
+    core's, from ``smith_invariants`` with the rows renumbered from the
+    columns' own row keys.
 
     Also returns the pivot map, whose rows clear the coboundary one
     dimension up.
@@ -418,29 +406,11 @@ def _coboundary_invariants(
             pivots[low] = key
             continue
         col = _signed_column(key, _common_neighbours(masks, key) if cand else top)
-        while col:
-            low = max(col)
-            if low not in pivots:
-                break
-            _eliminate(col, low, pivots, masks, modulus)
-        if not col:
-            continue
-        a = col[low]
-        if a == -1:
-            for r in col:
-                col[r] = -col[r]
-        elif a != 1:
-            residual.append(col)
-            continue
-        pivots[low] = col
+        _add_column(col, pivots, residual, masks, modulus)
 
     if not residual:
         return len(pivots), (), pivots
-    for i, col in enumerate(residual):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
-        while (low := max((r for r in col if r in pivots), default=None)) is not None:
-            _eliminate(col, low, pivots, masks, modulus)
+    _finish_residual(residual, pivots, masks, deadline)
     rows = {r: i for i, r in enumerate(sorted(set().union(*residual)))}
     core = [{rows[r]: v for r, v in col.items()} for col in residual]
     rank, factors = smith_invariants(len(rows), core, deadline)

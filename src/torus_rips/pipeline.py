@@ -159,10 +159,10 @@ def certify_torus(
 class GoldenRow:
     """One expected-homology table entry.
 
-    ``expected`` maps dimension to Betti number; within 0..max_dim every
-    unlisted dimension is asserted 0 (dimension 0 defaults to 1).  Rows with
-    ``skip`` set are outside the desk-scale budget and are reported as
-    skipped, never run.
+    ``expected`` maps each dimension in 0..max_dim to a Betti number; every
+    unlisted one is asserted 0 (dimension 0 defaults to 1).  Rows with
+    ``skip`` true are outside the desk-scale budget and are reported as
+    skipped with their non-empty ``skip_reason``, never run.
     """
 
     space: str
@@ -182,6 +182,15 @@ class GoldenRow:
             # bool is a subclass of int, but true is no count.
             if type(value) is not int or value < 0:
                 raise TypeError(f"{name} must be a nonnegative integer, got {value!r}")
+        for d in self.expected:
+            if not 0 <= d <= self.max_dim:
+                raise ValueError(f"expected dimension {d} outside 0..max_dim {self.max_dim}")
+        if type(self.skip) is not bool:
+            raise TypeError(f"skip must be true or false, got {self.skip!r}")
+        if self.skip and not (isinstance(self.skip_reason, str) and self.skip_reason.strip()):
+            raise ValueError(
+                f"a skipped row needs a non-empty skip_reason, got {self.skip_reason!r}"
+            )
         if self.coefficients not in COEFFICIENTS:
             raise ValueError(f"unknown coefficients {self.coefficients!r}")
         # build_space needs only n for these two kinds.
@@ -199,8 +208,10 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
 
     A file that cannot be read or parsed, or a row that lacks a required
     key, is not an object, names an unknown ring, names a space other than a
-    cycle or a torus, or holds a count that is not a nonnegative integer,
-    raises ValueError naming the file (and the row index).
+    cycle or a torus, holds a count that is not a nonnegative integer,
+    expects a dimension outside 0..max_dim, has a ``skip`` that is not a
+    boolean, or is skipped without a reason, raises ValueError naming the
+    file (and the row index).
     """
     if path is None:
         path = "packaged golden_table.json"
@@ -252,7 +263,7 @@ def run_golden_row(row: GoldenRow, config: RunConfig) -> dict:
         "source": row.source,
     }
     if row.skip:
-        base.update(status="SKIPPED", reason=row.skip_reason or "over budget")
+        base.update(status="SKIPPED", reason=row.skip_reason)
         return base
     start = time.monotonic()
     space = build_space(row.space, n=row.n)

@@ -422,11 +422,21 @@ class TestVerifyTableCommand:
              ["row 1", "space must be 'cycle' or 'torus', got 'sphere'"]),
             (json.dumps({"rows": [{**GOLDEN_ROW, "space": "window"}]}),
              ["row 0", "space must be 'cycle' or 'torus', got 'window'"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "n": 7, "k": 2, "max_dim": 2,
+                                               "expected": {"1": 2, "2": 1, "3": 7}}]}),
+             ["row 1", "expected dimension 3 outside 0..max_dim 2"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "expected": {"1": 4, "-1": 4}}]}),
+             ["row 0", "expected dimension -1 outside 0..max_dim 1"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "skip": "false"}]}),
+             ["row 0", "skip must be true or false, got 'false'"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "skip": True}]}),
+             ["row 1", "a skipped row needs a non-empty skip_reason"]),
         ],
         ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json",
              "n-as-string", "max-dim-as-string", "expected-key-not-dimension",
              "betti-as-string", "negative-max-dim", "unknown-ring",
-             "unknown-space", "window-space"],
+             "unknown-space", "window-space", "expected-dim-above-max-dim",
+             "negative-expected-dim", "skip-as-string", "skip-without-reason"],
     )
     def test_malformed_golden_table_is_validation_error(
         self, capsys, tmp_path, text, fragments

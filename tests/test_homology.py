@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import torus_rips as tr
@@ -107,6 +107,15 @@ def projective_plane_subdivision():
 def edge_list(graph):
     """The edges of a graph as pairs u < v, in ascending order."""
     return [(u, v) for u in range(graph.vertex_count) for v in iter_bits(graph.masks[u]) if u < v]
+
+
+def with_midpoint_chord(graph):
+    """The RP2 subdivision with its vertices 6 and 11 joined.
+
+    They are the midpoints of the edges 01 and 12 of the six-vertex RP2, so
+    the chord adds one triangle on vertex 1 and keeps the homotopy type.
+    """
+    return tr.Graph.from_edges(graph.vertex_count, edge_list(graph) + [(6, 11)])
 
 
 def suspension(graph):
@@ -407,6 +416,22 @@ def columns_from_rows(rows):
     ]
 
 
+@st.composite
+def integer_matrices(draw, size, entries):
+    """A matrix of at most size x size entries, as a list of rows."""
+    n_rows = draw(st.integers(min_value=1, max_value=size))
+    n_cols = draw(st.integers(min_value=1, max_value=size))
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+def sympy_invariants(matrix):
+    """Rank and invariant factors > 1 from sympy's Smith normal form over ZZ."""
+    snf = smith_normal_form(matrix, domain=ZZ)
+    nonzero = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
+    return len(nonzero), tuple(v for v in nonzero if v > 1)
+
+
 class TestSmithInvariants:
     def test_examples(self):
         assert smith_invariants(2, columns_from_rows([[1, 0], [0, 1]])) == (2, ())
@@ -426,29 +451,17 @@ class TestSmithInvariants:
             smith_invariants(2, cols, deadline=time.monotonic() - 1.0)
 
     @given(
-        st.integers(min_value=1, max_value=5),
-        st.integers(min_value=1, max_value=5),
-        st.data(),
-    )
-    @settings(deadline=None, max_examples=60)
-    def test_matches_sympy(self, n_rows, n_cols, data):
-        rows = data.draw(
-            st.lists(
-                st.lists(
-                    st.integers(min_value=-9, max_value=9),
-                    min_size=n_cols,
-                    max_size=n_cols,
-                ),
-                min_size=n_rows,
-                max_size=n_rows,
-            )
+        st.one_of(
+            integer_matrices(5, st.integers(min_value=-9, max_value=9)),
+            # Sparse, with unit entries beside non-unit lows.
+            integer_matrices(10, st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])),
         )
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_matches_sympy(self, rows):
+        n_rows, n_cols = len(rows), len(rows[0])
         rank, factors = smith_invariants(n_rows, columns_from_rows(rows))
-        snf = smith_normal_form(Matrix(rows))
-        diag = [abs(snf[i, i]) for i in range(min(n_rows, n_cols))]
-        nonzero = [v for v in diag if v]
-        assert rank == len(nonzero)
-        assert factors == tuple(v for v in nonzero if v > 1)
+        assert (rank, factors) == sympy_invariants(Matrix(rows))
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -565,23 +578,48 @@ class TestHomologyInteger:
         assert profile.torsion == ((), (), (2,), ())
         assert smith_calls == [1]
 
-    def test_torus_13_scale_5_torsion(self, smith_calls):
+    def test_torus_13_scale_5_torsion(self, monkeypatch, smith_calls):
         # The first torus with torsion: H_3 = Z^3 + (Z/2)^24.  Its 24 factors
-        # of 2 come out of one dense finish on 25 residual columns.
+        # of 2 come out of one dense finish on 25 residual columns of 117 rows.
+        cores = []
+        dense = tr.homology._dense_snf_diagonal
+
+        def spy(m, deadline=None):
+            cores.append((len(m), len(m[0])))
+            return dense(m, deadline)
+
+        monkeypatch.setattr(tr.homology, "_dense_snf_diagonal", spy)
         config = tr.RunConfig(coefficients="integer", max_dim=4)
         profile, _ = tr.compute_profile(tr.torus_space(13), 5, config)
         assert profile.betti == (1, 0, 0, 3, 2)
         assert profile.torsion == ((), (), (), (2,) * 24, ())
         assert smith_calls == [25]
+        assert cores == [(117, 25)]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            projective_plane_subdivision(),
+            suspension(projective_plane_subdivision()),
+            with_midpoint_chord(projective_plane_subdivision()),
+        ],
+        ids=["rp2", "rp2-suspension", "rp2-midpoint-chord"],
+    )
+    def test_boundary_invariants_match_sympy(self, graph):
+        # The homology-direction reference shares its elimination with the
+        # reducer, so sympy checks it on every boundary of the torsion cases.
+        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        assert cx.complete
+        for d in range(1, cx.top_dim + 1):
+            columns = signed_boundary_columns(cx, d)
+            matrix = Matrix(cx.counts[d - 1], len(columns), lambda i, j: columns[j].get(i, 0))
+            assert smith_invariants(cx.counts[d - 1], columns) == sympy_invariants(matrix)
 
     def test_residual_is_finished_on_pivot_rows(self, smith_calls):
-        # Vertices 6 and 11 are the midpoints of the edges 01 and 12 of the
-        # six-vertex RP2.  Joining them adds one triangle on vertex 1 and
-        # keeps the homotopy type.  Here the residual column of dimension 1
-        # has odd entries in unit pivot rows: alone it has no factor 2, and
-        # only once reduced against those pivots does it keep the torsion.
-        graph = projective_plane_subdivision()
-        graph = tr.Graph.from_edges(graph.vertex_count, edge_list(graph) + [(6, 11)])
+        # With the midpoint chord the residual column of dimension 1 has odd
+        # entries in unit pivot rows: alone it has no factor 2, and only
+        # once reduced against those pivots does it keep the torsion.
+        graph = with_midpoint_chord(projective_plane_subdivision())
         cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
         assert cx.complete and cx.counts == (31, 91, 61)
         profile = tr.homology_integer(cx.graph, 2)
@@ -743,7 +781,7 @@ def torsion_graphs_and_depths(draw):
     """
     graph = projective_plane_subdivision()
     if draw(st.booleans()):
-        graph = tr.Graph.from_edges(graph.vertex_count, edge_list(graph) + [(6, 11)])
+        graph = with_midpoint_chord(graph)
     top = 2
     if draw(st.booleans()):
         graph, top = suspension(graph), 3
