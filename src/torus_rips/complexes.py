@@ -25,7 +25,8 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
-# Parents extended, or edges visited, between two readings of the deadline clock.
+# Parents extended, edges visited or coboundary columns drawn between two readings
+# of the deadline clock.
 _DEADLINE_CHUNK = 4096
 
 # Farthest-point landmarks whose distance rows filter the pairs of vr_graph.
@@ -174,7 +175,7 @@ def collapse_edges(graph: Graph, deadline: float | None = None) -> Graph:
             while row:
                 low = row & -row
                 row ^= low
-                if visited % _DEADLINE_CHUNK == 0 and deadline is not None \
+                if deadline is not None and visited % _DEADLINE_CHUNK == 0 \
                         and time.monotonic() > deadline:
                     raise BudgetError("time budget exceeded while collapsing edges")
                 visited += 1
@@ -186,7 +187,7 @@ def collapse_edges(graph: Graph, deadline: float | None = None) -> Graph:
                 while left:
                     w = left & -left
                     near = masks[w.bit_length() - 1]
-                    if common & ~near == w:
+                    if (common | near) ^ near == w:
                         masks[u] ^= low
                         masks[v] ^= bit
                         changed |= bit | low
@@ -242,12 +243,15 @@ def iter_layers(
     Layer d is the list of d-simplices as vertex bitmasks, in the
     lexicographic order of their vertex tuples, and the list of their
     extension masks ``cand``: the vertices beyond the last member adjacent to
-    all of it.  Layer d + 1 takes one AND per extension and one OR per new
-    key.  The stream ends after max_dim or before an empty layer.  The
-    popcounts of ``cands`` are the exact size of layer d + 1, so the budget,
-    a cap on simplices across all dimensions, refuses it with
-    SimplexBudgetError before layer d is handed out.  The deadline, a
-    time.monotonic() cutoff, is read every 4096 parents extended.
+    all of it.  The bits of cand are taken from the lowest up, so once bit v
+    is taken what is left of cand is its part above v, and the child key | v
+    gets that part ANDed with v's neighbours as its mask.  Layer d + 1 thus
+    takes one AND per extension and one OR per new key.  The stream ends
+    after max_dim or before an empty layer.  The popcounts of ``cands`` are
+    the exact size of layer d + 1, so the budget, a cap on simplices across
+    all dimensions, refuses it with SimplexBudgetError before layer d is
+    handed out.  The deadline, a time.monotonic() cutoff, is read every 4096
+    parents extended.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
@@ -275,13 +279,12 @@ def iter_layers(
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetError(f"time budget exceeded while enumerating dimension {d + 1}")
             stop = start + _DEADLINE_CHUNK
-            for key, cand in zip(keys[start:stop], cands[start:stop]):
-                m = cand
+            for key, m in zip(keys[start:stop], cands[start:stop]):
                 while m:
                     low = m & -m
                     m ^= low
                     append_s(key | low)
-                    append_c(cand & masks[low.bit_length() - 1] & -(low << 1))
+                    append_c(m & masks[low.bit_length() - 1])
         keys, cands = next_keys, next_cands
 
 

@@ -199,14 +199,21 @@ def torus_facets(n: int, k: int) -> FacetSet:
 def brute_force_facets(graph: Graph) -> FacetSet:
     """All maximal cliques of a graph via Bron-Kerbosch with pivoting.
 
-    Deterministic: the pivot scan walks the candidates and excluded vertices
-    in ascending order and keeps the first one with the largest candidate
-    coverage, stopping early at the first vertex that leaves at most one
-    branch; branching follows ascending vertex order.  Any pivot from the
-    candidates and excluded vertices yields every maximal clique exactly
-    once, so the early stop changes the search tree, never the facet set;
-    a clique reported twice raises RuntimeError.  Refuses graphs above the
-    vertex budget rather than running unbounded.
+    Each node holds a clique R, its candidates P and its excluded vertices
+    X, all as bitmasks, and picks the pivot of Tomita, Tanaka & Takahashi
+    (2006): the vertex of P or X whose neighbourhood covers most of P.  X is
+    scanned first; a vertex of X adjacent to all of P ends the node, since
+    every maximal clique below it would extend by that vertex.  Otherwise
+    the scan goes on through P and stops at the first vertex that covers
+    |P| - 1, which leaves one branch.  Both scans walk from the top bit
+    down and keep the first vertex of largest coverage, and the node
+    branches on P less the pivot's neighbours, also from the top down.  The
+    last branch extends R in place and loops instead of recursing, so a
+    chain of single-branch nodes costs no recursion.  Any pivot yields every
+    maximal clique exactly once, so the scan order changes the search tree,
+    never the facet set; the search is deterministic, and a clique reported
+    twice raises RuntimeError.  Refuses graphs above the vertex budget
+    rather than running unbounded.
     """
     n = graph.vertex_count
     if n > BRUTE_FORCE_VERTEX_BUDGET:
@@ -218,28 +225,44 @@ def brute_force_facets(graph: Graph) -> FacetSet:
     out: list[Simplex] = []
 
     def expand(clique: int, candidates: int, excluded: int) -> None:
-        if candidates == 0 and excluded == 0:
-            out.append(tuple(iter_bits(clique)))
-            return
-        pivot = -1
-        best = -1
-        enough = candidates.bit_count() - 1
-        m = candidates | excluded
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            c = (candidates & masks[u]).bit_count()
-            if c > best:
-                best = c
-                pivot = u
-                if c >= enough:
+        while candidates:
+            size = candidates.bit_count()
+            best = -1
+            m = excluded
+            while m:
+                u = m.bit_length() - 1
+                m ^= 1 << u
+                c = (candidates & masks[u]).bit_count()
+                if c > best:
+                    if c == size:
+                        return
+                    best = c
+                    pivot = u
+            m = candidates if best < size - 1 else 0
+            while m:
+                u = m.bit_length() - 1
+                m ^= 1 << u
+                c = (candidates & masks[u]).bit_count()
+                if c > best:
+                    best = c
+                    pivot = u
+                    if c == size - 1:
+                        break
+            branch = candidates & masks[pivot] ^ candidates
+            while True:
+                v = branch.bit_length() - 1
+                bit = 1 << v
+                branch ^= bit
+                if not branch:
                     break
-        for v in iter_bits(candidates & ~masks[pivot]):
-            bit = 1 << v
-            expand(clique | bit, candidates & masks[v], excluded & masks[v])
-            candidates &= ~bit
-            excluded |= bit
+                expand(clique | bit, candidates & masks[v], excluded & masks[v])
+                candidates ^= bit
+                excluded |= bit
+            clique |= bit
+            candidates &= masks[v]
+            excluded &= masks[v]
+        if not excluded:
+            out.append(tuple(iter_bits(clique)))
 
     expand(0, (1 << n) - 1, 0)
     facets = frozenset(out)

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import AbstractSet, Iterable, Sequence
 
-from .complexes import (DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph, euler_characteristic,
-                        iter_layers)
+from .complexes import (_DEADLINE_CHUNK, DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph,
+                        euler_characteristic, iter_layers)
 from .errors import BudgetError
 
 # Most entries of the dense Smith core (live rows x live columns).  Measured
@@ -393,20 +394,22 @@ def _coboundary_invariants(
     ring = "GF(2)" if modulus == 2 else "integer"
     pivots: dict[int, int | dict[int, int]] = {}
     residual: list[dict[int, int]] = []
-    for j, (key, cand) in enumerate(zip(keys, cands)):
-        if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during {ring} reduction at column {j}")
-        if key in cleared_rows:
-            continue
-        top = cand or _common_neighbours(masks, key)
-        if not top:
-            continue
-        low = key | (1 << (top.bit_length() - 1))
-        if low not in pivots:
-            pivots[low] = key
-            continue
-        col = _signed_column(key, _common_neighbours(masks, key) if cand else top)
-        _add_column(col, pivots, residual, masks, modulus)
+    columns = zip(keys, cands)
+    for start in range(0, len(keys), _DEADLINE_CHUNK):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetError(f"time budget exceeded during {ring} reduction at column {start}")
+        for key, cand in islice(columns, _DEADLINE_CHUNK):
+            if key in cleared_rows:
+                continue
+            top = cand or _common_neighbours(masks, key)
+            if not top:
+                continue
+            low = key | (1 << (top.bit_length() - 1))
+            if low not in pivots:
+                pivots[low] = key
+                continue
+            col = _signed_column(key, _common_neighbours(masks, key) if cand else top)
+            _add_column(col, pivots, residual, masks, modulus)
 
     if not residual:
         return len(pivots), (), pivots
@@ -420,14 +423,16 @@ def _coboundary_invariants(
 def _reaches_two_up(masks: Sequence[int], cands: Sequence[int], d: int,
                     deadline: float | None) -> bool:
     """Whether some simplex of layer d has two adjacent extensions: a (d + 2)-simplex."""
-    for j, cand in enumerate(cands):
-        if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
+    extensions = iter(cands)
+    for _ in range(0, len(cands), _DEADLINE_CHUNK):
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded while probing dimension {d + 2}")
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if cand & masks[low.bit_length() - 1]:
-                return True
+        for cand in islice(extensions, _DEADLINE_CHUNK):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if cand & masks[low.bit_length() - 1]:
+                    return True
     return False
 
 

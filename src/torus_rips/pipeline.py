@@ -203,15 +203,38 @@ class GoldenRow:
         )
 
 
+class _JsonObject(dict):
+    """A parsed JSON object that keeps its key-value pairs, repeated keys included."""
+
+    def __init__(self, pairs: list[tuple[str, object]]) -> None:
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
+def _expected_dims(expected: _JsonObject) -> dict[int, object]:
+    """A golden row's ``expected`` object keyed by dimension.
+
+    Two keys that name one dimension, like "1" twice or "1" and "01", raise
+    ValueError.
+    """
+    dims: dict[int, object] = {}
+    for key, betti in expected.pairs:
+        d = int(key)
+        if d in dims:
+            raise ValueError(f"expected dimension {d} is given twice")
+        dims[d] = betti
+    return dims
+
+
 def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
     """Load the golden homology table from the packaged data file or a path.
 
     A file that cannot be read or parsed, or a row that lacks a required
     key, is not an object, names an unknown ring, names a space other than a
     cycle or a torus, holds a count that is not a nonnegative integer,
-    expects a dimension outside 0..max_dim, has a ``skip`` that is not a
-    boolean, or is skipped without a reason, raises ValueError naming the
-    file (and the row index).
+    expects a dimension outside 0..max_dim or twice, has a ``skip`` that is
+    not a boolean, or is skipped without a reason, raises ValueError naming
+    the file (and the row index).
     """
     if path is None:
         path = "packaged golden_table.json"
@@ -223,7 +246,7 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
         except OSError as exc:
             raise ValueError(f"cannot read golden table {path}: {exc.strerror}") from exc
     try:
-        entries = json.loads(text)["rows"]
+        entries = json.loads(text, object_pairs_hook=_JsonObject)["rows"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(
             f"golden table {path} is not a JSON object with a 'rows' list: {exc}"
@@ -238,7 +261,7 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
                     k=entry["k"],
                     coefficients=entry.get("coefficients", "gf2"),
                     max_dim=entry["max_dim"],
-                    expected={int(d): b for d, b in entry["expected"].items()},
+                    expected=_expected_dims(entry["expected"]),
                     source=entry["source"],
                     skip=entry.get("skip", False),
                     skip_reason=entry.get("skip_reason", ""),

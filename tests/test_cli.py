@@ -431,12 +431,19 @@ class TestVerifyTableCommand:
              ["row 0", "skip must be true or false, got 'false'"]),
             (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "skip": True}]}),
              ["row 1", "a skipped row needs a non-empty skip_reason"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "n": 7, "k": 2, "max_dim": 2,
+                                               "expected": {"1": 9, "01": 2, "2": 1}}]}),
+             ["row 1", "expected dimension 1 is given twice"]),
+            ('{"rows": [' + json.dumps(GOLDEN_ROW) + ', {"space": "torus", "n": 3, "k": 1, '
+             '"max_dim": 1, "expected": {"1": 4, "1": 4}, "source": "unit test"}]}',
+             ["row 1", "expected dimension 1 is given twice"]),
         ],
         ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json",
              "n-as-string", "max-dim-as-string", "expected-key-not-dimension",
              "betti-as-string", "negative-max-dim", "unknown-ring",
              "unknown-space", "window-space", "expected-dim-above-max-dim",
-             "negative-expected-dim", "skip-as-string", "skip-without-reason"],
+             "negative-expected-dim", "skip-as-string", "skip-without-reason",
+             "expected-dim-spelled-twice", "expected-key-written-twice"],
     )
     def test_malformed_golden_table_is_validation_error(
         self, capsys, tmp_path, text, fragments

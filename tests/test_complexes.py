@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torus_rips as tr
-from torus_rips.complexes import collapse_edges, iter_bits
+from torus_rips.complexes import collapse_edges, iter_bits, iter_layers
 from torus_rips.errors import (
     BudgetError,
     SimplexBudgetError,
@@ -344,6 +344,21 @@ class TestEnumerateSimplices:
             with pytest.raises(SimplexBudgetError) as info:
                 tr.enumerate_simplices(graph, 4, budget=through - 1)
             assert info.value.dim == d
+
+    @given(st.builds(random_graph, st.integers(min_value=1, max_value=14),
+                     st.floats(min_value=0.2, max_value=0.95),
+                     st.integers(min_value=0, max_value=2**32 - 1)))
+    @settings(deadline=None, max_examples=60)
+    def test_extension_masks_are_common_neighbours_above_the_key(self, graph):
+        # A simplex's cand is the AND of its vertices' masks, cut to the
+        # vertices above its largest vertex.
+        for keys, cands in iter_layers(graph):
+            for key, cand in zip(keys, cands):
+                common = (1 << graph.vertex_count) - 1
+                for v in iter_bits(key):
+                    common &= graph.masks[v]
+                top = key.bit_length()
+                assert cand == common >> top << top
 
     def test_cross_polytope_counts(self):
         # At one below its diameter the 4x4 torus grid drops only antipodal

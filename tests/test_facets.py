@@ -176,7 +176,11 @@ class TestTorusFacets:
         assert len(tr.torus_facets(9, 3)) == 216
         assert len(tr.torus_facets(12, 4)) == 384
 
-    @pytest.mark.parametrize("n,k", [(6, 2), (7, 2), (8, 3)])
+    # T12 k4 and T11 k4 are the n = 3k and n = 3k - 1 regimes; T16 k5 and
+    # T20 k4 are graphs of the benchmark's size, 256 and 400 vertices.
+    @pytest.mark.parametrize(
+        "n,k", [(6, 2), (7, 2), (8, 3), (12, 4), (11, 4), (16, 5), (20, 4)]
+    )
     def test_matches_oracle(self, n, k):
         got = tr.torus_facets(n, k)
         assert got.facets == oracle_for(tr.torus_space(n), k).facets
