@@ -71,7 +71,7 @@ def _emit(payload: dict, out: TextIO) -> None:
     out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _error(category: str, message: str, exit_code: int) -> int:
+def _error(category: str, message: str, exit_code: int, **fields: object) -> int:
     _emit(
         {
             "kind": "error",
@@ -79,6 +79,7 @@ def _error(category: str, message: str, exit_code: int) -> int:
             "error": category,
             "message": message,
             "exit_code": exit_code,
+            **fields,
         },
         sys.stderr,
     )
@@ -398,7 +399,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedRegimeError as exc:
         return _error("unsupported-regime", str(exc), EXIT_VALIDATION)
     except BudgetError as exc:
-        return _error("budget", str(exc), EXIT_BUDGET)
+        # A simplex budget error also names the dimension and the count it reached.
+        reached = {name: getattr(exc, name, None) for name in ("dim", "count")}
+        return _error("budget", str(exc), EXIT_BUDGET,
+                      **{name: v for name, v in reached.items() if v is not None})
     except ValueError as exc:
         return _error("validation", str(exc), EXIT_VALIDATION)
 

@@ -6,8 +6,11 @@ complex at scale k under the closed convention (a simplex is any vertex set
 of diameter at most k).  Neighbourhoods and simplices alike are stored as
 vertex bitmasks, bit v set iff v is in the set; vertex tuples are made only
 for listings.  ``collapse_edges`` drops dominated edges, keeping the homotopy
-type; ``iter_layers`` streams the complex one dimension at a time, each simplex
-with its extension mask, and ``enumerate_simplices`` collects it.
+type.  ``scan_clique_tree`` walks the complex one vertex subtree at a time and
+keeps only what the coboundary reducer needs: the counts per dimension, the
+number of simplices with an extension and the dead ends.  ``iter_layers``
+streams whole layers, each simplex with its extension mask, for
+``enumerate_simplices``, which collects them for listings and the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
-# Parents extended, edges visited or coboundary columns drawn between two readings
+# Parents extended, edges visited or dead-end columns drawn between two readings
 # of the deadline clock.
 _DEADLINE_CHUNK = 4096
 
@@ -286,6 +289,161 @@ def iter_layers(
                     append_s(key | low)
                     append_c(m & masks[low.bit_length() - 1])
         keys, cands = next_keys, next_cands
+
+
+def _has_edge_within(masks: tuple[int, ...], cand: int) -> bool:
+    """Whether two vertices of cand are adjacent, so its simplex has a coface two up."""
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if cand & masks[low.bit_length() - 1]:
+            return True
+    return False
+
+
+@dataclass(frozen=True, eq=False)
+class CliqueScan:
+    """What the coboundary reducer needs of a clique complex, from one walk of its clique tree.
+
+    ``counts[d]`` is the number of d-simplices, through the layer above
+    max_dim, which is only counted.  For each dimension d the reducer
+    reduces, ``apparent[d]`` counts the d-simplices with a nonzero extension
+    mask, and ``dead_ends[d]`` lists, in lexicographic order, those with none
+    that are not their parent's last child (for d = 0, every vertex with no
+    higher neighbour).  ``complete`` is True when no simplex lies above the
+    counted layers.
+    """
+
+    counts: tuple[int, ...]
+    apparent: tuple[int, ...]
+    dead_ends: tuple[list[int], ...]
+    complete: bool
+
+
+def scan_clique_tree(
+    graph: Graph,
+    max_dim: int | None = None,
+    budget: int | None = DEFAULT_SIMPLEX_BUDGET,
+    deadline: float | None = None,
+) -> CliqueScan:
+    """Count the clique complex through max_dim + 1, one vertex subtree at a time.
+
+    The clique tree hangs each simplex under the face that drops its top
+    vertex, and the subtree of vertex v holds the cliques whose lowest
+    vertex is v.  Each subtree is extended layer by layer as in
+    ``iter_layers``, and the subtrees in vertex order give every dimension in
+    lexicographic order.  Only the simplices below max_dim with a nonzero
+    extension mask are kept to be extended, so the live set is one
+    subtree's, plus the dead ends.  Layer max_dim is classified as it is
+    made, not kept, and the layer above it is counted from the masks and
+    probed for a simplex one dimension higher; None means every dimension.
+
+    The budget caps the running total of simplices, vertices first, and
+    refuses with SimplexBudgetError before a subtree layer that would pass it
+    is built.  So a complex is refused iff it holds more simplices through
+    max_dim + 1 than the budget, and the dimension reported is the one being
+    counted when the total passed it.  The deadline, a time.monotonic()
+    cutoff, is read every 4096 parents extended.
+    """
+    if max_dim is not None and max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
+    n = graph.vertex_count
+    masks = graph.masks
+    counts, apparent, dead_ends = [n], [0], [[]]
+    total = n
+    if budget is not None and total > budget:
+        raise SimplexBudgetError(budget, 0, total)
+    reaches = False
+    extended = 0
+
+    def ticked(keys: list[int], cands: list[int], d: int) -> Iterator[Iterator[tuple[int, int]]]:
+        """(key, cand) pairs in runs that end at every 4096th parent, the clock read before each."""
+        nonlocal extended
+        pairs = zip(keys, cands)
+        left = len(keys)
+        while left:
+            offset = extended % _DEADLINE_CHUNK
+            if deadline is not None and not offset and time.monotonic() > deadline:
+                raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+            step = min(left, _DEADLINE_CHUNK - offset)
+            extended += step
+            left -= step
+            yield itertools.islice(pairs, step)
+
+    def count(d: int, size: int) -> None:
+        nonlocal total
+        if d == len(counts):
+            counts.append(0)
+        counts[d] += size
+        total += size
+        if budget is not None and total > budget:
+            raise SimplexBudgetError(budget, d, total)
+
+    for v in range(n):
+        key = 1 << v
+        cand = masks[v] & -(key << 1)
+        if not cand:
+            dead_ends[0].append(key)
+            continue
+        apparent[0] += 1
+        if max_dim == 0:
+            count(1, cand.bit_count())
+            reaches = reaches or _has_edge_within(masks, cand)
+            continue
+        # The simplices of layer d - 1 in this subtree that have an extension.
+        keys, cands = [key], [cand]
+        for d in itertools.count(1):
+            count(d, sum(map(int.bit_count, cands)))
+            if d == len(apparent):
+                apparent.append(0)
+                dead_ends.append([])
+            dead = dead_ends[d].append
+            if d == max_dim:
+                # The top reduced layer is classified and its extensions
+                # counted, but it is not kept.
+                live = above = 0
+                for run in ticked(keys, cands, d):
+                    for key, m in run:
+                        while m:
+                            low = m & -m
+                            m ^= low
+                            c = m & masks[low.bit_length() - 1]
+                            if c:
+                                live += 1
+                                above += c.bit_count()
+                                if not reaches and _has_edge_within(masks, c):
+                                    reaches = True
+                            elif m:
+                                dead(key | low)
+                apparent[d] += live
+                if above:
+                    count(d + 1, above)
+                break
+            next_keys: list[int] = []
+            next_cands: list[int] = []
+            append_k = next_keys.append
+            append_c = next_cands.append
+            for run in ticked(keys, cands, d):
+                for key, m in run:
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        c = m & masks[low.bit_length() - 1]
+                        if c:
+                            append_k(key | low)
+                            append_c(c)
+                        elif m:
+                            dead(key | low)
+            if not next_keys:
+                break
+            apparent[d] += len(next_keys)
+            keys, cands = next_keys, next_cands
+    return CliqueScan(
+        counts=tuple(counts),
+        apparent=tuple(apparent),
+        dead_ends=tuple(dead_ends),
+        complete=not reaches,
+    )
 
 
 def enumerate_simplices(

@@ -10,16 +10,20 @@ class BudgetError(RuntimeError):
 class SimplexBudgetError(BudgetError):
     """Clique enumeration hit the global simplex budget.
 
-    Carries the budget and the dimension that was being enumerated when the
-    budget ran out, so callers can report how deep the enumeration got.
+    Carries the budget, the dimension that was being enumerated when the
+    budget ran out and, when the enumerator kept one, ``count``, the running
+    simplex total that passed the budget, so callers can report how far the
+    enumeration got.
     """
 
-    def __init__(self, budget: int, dim: int) -> None:
-        super().__init__(
-            f"simplex budget of {budget} exceeded while enumerating dimension {dim}"
-        )
+    def __init__(self, budget: int, dim: int, count: int | None = None) -> None:
+        message = f"simplex budget of {budget} exceeded while enumerating dimension {dim}"
+        if count is not None:
+            message += f" at {count} simplices"
+        super().__init__(message)
         self.budget = budget
         self.dim = dim
+        self.count = count
 
 
 class UnsupportedRegimeError(ValueError):

@@ -2,20 +2,35 @@
 
 One reducer serves both rings, the way Ripser is parameterised by its
 coefficient modulus: the coboundary matrices are reduced from dimension 0
-upward with a pivot map and clearing, entries taken mod 2 over GF(2) and kept
-exact over the integers.  Clique layers stream from ``iter_layers``: layer
-d + 1 is built after the coboundary of layer d is reduced, and the layer above
-the top reported dimension is only counted.  Each coboundary column comes
-from the graph's adjacency bitmasks on demand, so no tuple, boundary matrix
-or face index is built.  Over the integers a reduced column whose low entry
-is not +/-1 is set aside, and once the dimension is reduced, what is left of
-those columns off the unit pivots' rows goes to ``smith_invariants``, which
-runs the same unit-pivot steps on it and finishes any leftover core densely.
-All arithmetic is on Python ints, so overflow cannot occur and torsion is
-read off the invariant factors.
+upward, entries taken mod 2 over GF(2) and kept exact over the integers.  In
+the column order used here, lexicographic on vertex tuples with the largest
+coface key as pivot, almost no column needs arithmetic (Bauer, Ripser 2021):
+
+- a column whose extension mask ``cand`` is nonzero is an apparent pair with
+  the row key | topbit(cand), because every other facet of that row comes
+  later;
+- no pivot row r has a vertex above its top vertex adjacent to all of it:
+  for R = r + u, every face of R but r lies above r, so
+  (δδz)(R) = ±δz(r) = 0.  So a column with a nonzero ``cand`` is never
+  cleared, and a last child, the row of its parent's apparent pair, always
+  is.
+
+So the rank of δ_d is the number of d-simplices with a nonzero ``cand`` plus
+the pivots found by reducing the dead ends, the other columns.
+``scan_clique_tree`` counts the complex and collects its dead ends one
+vertex subtree at a time; each dimension's dead ends are then reduced
+against a pivot map that holds the explicit pivots and resolves the apparent
+rows from the graph's adjacency bitmasks on demand.  No tuple, boundary
+matrix, face index or whole clique layer is built.  Over the integers a
+reduced column whose low entry is not +/-1 is set aside, and once the
+dimension is reduced, what is left of those columns off the pivots' rows
+goes to ``smith_invariants``, which runs the same unit-pivot steps on it and
+finishes any leftover core densely.  All arithmetic is on Python ints, so
+overflow cannot occur and torsion is read off the invariant factors.
 
 Both rings are bounded in size only by the simplex budget and in time by the
-deadline.  The one fixed limit is ``_DENSE_CORE_LIMIT`` entries in the dense
+deadline; live memory is one vertex subtree, the dead ends and the explicit
+pivots.  The one fixed limit is ``_DENSE_CORE_LIMIT`` entries in the dense
 Smith core, refused with BudgetError before it is allocated.
 
 ``boundary_matrix``, ``signed_boundary_columns`` and ``gf2_rank`` build and
@@ -27,11 +42,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import AbstractSet, Iterable, Sequence
 
 from .complexes import (_DEADLINE_CHUNK, DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph,
-                        euler_characteristic, iter_layers)
+                        euler_characteristic, scan_clique_tree)
 from .errors import BudgetError
 
 # Most entries of the dense Smith core (live rows x live columns).  Measured
@@ -174,8 +188,8 @@ def smith_invariants(
         for r in live:
             if not 0 <= r < n_rows:
                 raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
-        _add_column(live, pivots, residual, (), 0)
-    _finish_residual(residual, pivots, (), deadline)
+        _add_column(live, pivots, residual, 0)
+    _finish_residual(residual, pivots, deadline)
 
     # Dense finish on whatever the unit pivots could not clear.
     live_rows = sorted(set().union(*residual))
@@ -302,14 +316,45 @@ def _signed_column(key: int, common: int) -> dict[int, int]:
     return column
 
 
-def _eliminate(col: dict[int, int], low: int, pivots: dict, masks: Sequence[int], modulus: int):
-    """Clear row low of col in place with its unit pivot, built and scaled to +1 if deferred."""
+class _PivotMap(dict):
+    """Explicit pivot columns by row key, which also resolves the apparent rows.
+
+    Row r is the low of an apparent pair iff the face p = r minus its top
+    vertex t has no common neighbour above t: the column of p then has r as
+    its largest row, and no earlier column meets r.  Such a row is in the
+    map, and its pivot is the coboundary column of p, built from the masks
+    on each lookup and scaled to +1 at r.  Only explicit columns are stored
+    and counted by ``len``.
+    """
+
+    def __init__(self, masks: Sequence[int]) -> None:
+        super().__init__()
+        self.masks = masks
+
+    def _apparent_face(self, row: int) -> tuple[int, int] | None:
+        """(p, common neighbours of p) when row is an apparent row, else None."""
+        top = row.bit_length() - 1
+        face = row ^ (1 << top)
+        common = _common_neighbours(self.masks, face)
+        return (face, common) if common >> top == 1 else None
+
+    def __contains__(self, row: object) -> bool:
+        return dict.__contains__(self, row) or self._apparent_face(row) is not None
+
+    def __missing__(self, row: int) -> dict[int, int]:
+        face = self._apparent_face(row)
+        if face is None:
+            raise KeyError(row)
+        column = _signed_column(*face)
+        if column[row] == -1:
+            for r in column:
+                column[r] = -column[r]
+        return column
+
+
+def _eliminate(col: dict[int, int], low: int, pivots: dict, modulus: int) -> None:
+    """Clear row low of col in place with its unit pivot."""
     other = pivots[low]
-    if isinstance(other, int):
-        other = pivots[low] = _signed_column(other, _common_neighbours(masks, other))
-        if other[low] == -1:
-            for r in other:
-                other[r] = -other[r]
     a = col[low]
     for r, v in other.items():
         nv = col.get(r, 0) - a * v
@@ -322,7 +367,7 @@ def _eliminate(col: dict[int, int], low: int, pivots: dict, masks: Sequence[int]
 
 
 def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]],
-                masks: Sequence[int], modulus: int) -> None:
+                modulus: int) -> None:
     """Reduce col in place on the unit lows of pivots, then file it.
 
     It becomes the pivot of its low row, scaled so the low entry is +1, when
@@ -333,7 +378,7 @@ def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]
         low = max(col)
         if low not in pivots:
             break
-        _eliminate(col, low, pivots, masks, modulus)
+        _eliminate(col, low, pivots, modulus)
     if not col:
         return
     a = col[low]
@@ -346,7 +391,7 @@ def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]
     pivots[low] = col
 
 
-def _finish_residual(residual: list[dict[int, int]], pivots: dict, masks: Sequence[int],
+def _finish_residual(residual: list[dict[int, int]], pivots: dict,
                      deadline: float | None) -> None:
     """Reduce each residual column on every pivot row it meets, largest first.
 
@@ -361,79 +406,52 @@ def _finish_residual(residual: list[dict[int, int]], pivots: dict, masks: Sequen
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
         while (low := max((r for r in col if r in pivots), default=None)) is not None:
-            _eliminate(col, low, pivots, masks, 0)
+            _eliminate(col, low, pivots, 0)
 
 
-def _coboundary_invariants(
-    masks: Sequence[int], keys: Sequence[int], cands: Sequence[int],
-    cleared_rows: AbstractSet[int], modulus: int, deadline: float | None,
-) -> tuple[int, tuple[int, ...], dict[int, int | dict[int, int]]]:
-    """Rank and invariant factors > 1 of the coboundary of the layer (keys, cands).
+def _dead_end_invariants(
+    masks: Sequence[int], dead_ends: Sequence[int], cleared_rows: AbstractSet[int],
+    modulus: int, deadline: float | None, d: int,
+) -> tuple[int, tuple[int, ...], frozenset[int]]:
+    """Rank beyond the apparent pairs, and invariant factors > 1, of the coboundary of dimension d.
 
-    Reduces the signed coboundary columns left to right with ``_add_column``
-    against a pivot map keyed by the largest row key, skipping the columns
-    of simplices in ``cleared_rows``.  Entries are taken mod ``modulus``
-    after each operation when it is nonzero (2 for GF(2)) and kept as exact
-    integers when it is 0.  A column whose low entry is +/-1 becomes the
-    pivot of that row, scaled so the entry is +1.  An unreduced column's low
-    entry is always a unit, so a column whose low row is still free is
-    recorded by its key and only built when a later column reduces against
-    it.  That low row is key | topbit(cand) when ``cand`` is nonzero, so
-    common neighbours are only computed for the other columns and the built
-    ones.  The deadline is checked every 4096 columns, cleared ones included.
+    The columns are the dead ends of the layer not in ``cleared_rows``, in
+    lexicographic order.  Each is built from the masks and reduced with
+    ``_add_column`` against a ``_PivotMap``, entries taken mod ``modulus``
+    when it is nonzero (2 for GF(2)) and kept exact when it is 0.  Every
+    other column needs no arithmetic: one with a nonzero extension mask is an
+    apparent pair, and a last child is the row of its parent's apparent pair,
+    so it is cleared.  The deadline is checked every 4096 dead ends, cleared
+    ones included.
 
     A reduced column whose low entry is not a unit, which only happens over
-    the integers, is kept as residual and finished by ``_finish_residual``
-    after the last column.  The invariant factors are then the residual
-    core's, from ``smith_invariants`` with the rows renumbered from the
-    columns' own row keys.
-
-    Also returns the pivot map, whose rows clear the coboundary one
-    dimension up.
+    the integers, is kept as residual and finished by ``_finish_residual``.
+    The invariant factors are then the residual core's, from
+    ``smith_invariants`` with the rows renumbered from the columns' own row
+    keys.  Also returns the explicit pivot rows, which clear the dead ends
+    one dimension up.
     """
     ring = "GF(2)" if modulus == 2 else "integer"
-    pivots: dict[int, int | dict[int, int]] = {}
+    pivots = _PivotMap(masks)
     residual: list[dict[int, int]] = []
-    columns = zip(keys, cands)
-    for start in range(0, len(keys), _DEADLINE_CHUNK):
+    for start in range(0, len(dead_ends), _DEADLINE_CHUNK):
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during {ring} reduction at column {start}")
-        for key, cand in islice(columns, _DEADLINE_CHUNK):
-            if key in cleared_rows:
-                continue
-            top = cand or _common_neighbours(masks, key)
-            if not top:
-                continue
-            low = key | (1 << (top.bit_length() - 1))
-            if low not in pivots:
-                pivots[low] = key
-                continue
-            col = _signed_column(key, _common_neighbours(masks, key) if cand else top)
-            _add_column(col, pivots, residual, masks, modulus)
+            raise BudgetError(
+                f"time budget exceeded during {ring} reduction of dimension {d} at dead end {start}"
+            )
+        for key in dead_ends[start:start + _DEADLINE_CHUNK]:
+            if key not in cleared_rows:
+                col = _signed_column(key, _common_neighbours(masks, key))
+                _add_column(col, pivots, residual, modulus)
 
+    rows = frozenset(pivots)
     if not residual:
-        return len(pivots), (), pivots
-    _finish_residual(residual, pivots, masks, deadline)
-    rows = {r: i for i, r in enumerate(sorted(set().union(*residual)))}
-    core = [{rows[r]: v for r, v in col.items()} for col in residual]
-    rank, factors = smith_invariants(len(rows), core, deadline)
-    return len(pivots) + rank, factors, pivots
-
-
-def _reaches_two_up(masks: Sequence[int], cands: Sequence[int], d: int,
-                    deadline: float | None) -> bool:
-    """Whether some simplex of layer d has two adjacent extensions: a (d + 2)-simplex."""
-    extensions = iter(cands)
-    for _ in range(0, len(cands), _DEADLINE_CHUNK):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded while probing dimension {d + 2}")
-        for cand in islice(extensions, _DEADLINE_CHUNK):
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                if cand & masks[low.bit_length() - 1]:
-                    return True
-    return False
+        return len(rows), (), rows
+    _finish_residual(residual, pivots, deadline)
+    index = {r: i for i, r in enumerate(sorted(set().union(*residual)))}
+    core = [{index[r]: v for r, v in col.items()} for col in residual]
+    rank, factors = smith_invariants(len(index), core, deadline)
+    return len(rows) + rank, factors, rows
 
 
 def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
@@ -441,31 +459,21 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
     """Betti profile through max_dim from the coboundaries reduced mod ``modulus``.
 
     ``modulus`` is 2 for GF(2) or 0 for the integers; over any other prime a
-    non-unit low entry would reach the integer Smith normal form.  At most
-    two layers and their pivot maps are alive.  The layer above max_dim is
-    counted from the extension masks, against the budget too, and one probe
-    of them settles whether the complex goes higher still.
+    non-unit low entry would reach the integer Smith normal form.  One scan
+    of the clique tree counts the complex and collects its dead ends; then
+    the rank of the coboundary of dimension d is the number of d-simplices
+    with an extension plus what the reduction of the dead ends adds.
     """
-    if max_dim is not None and max_dim < 0:
-        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    masks = graph.masks
-    counts, ranks, torsion, pivots = [], [0], [], {}
-    complete = True
-    top = None if max_dim is None else max_dim + 1
-    for d, (keys, cands) in enumerate(iter_layers(graph, top, budget, deadline)):
-        counts.append(len(keys))
-        # With no extension anywhere the layer is the top and its coboundary zero.
-        rank, factors, pivots = _coboundary_invariants(
-            masks, keys, cands, pivots, modulus, deadline
-        ) if any(cands) else (0, (), {})
-        ranks.append(rank)
+    scan = scan_clique_tree(graph, max_dim, budget, deadline)
+    counts = list(scan.counts)
+    ranks, torsion, cleared = [0], [], frozenset()
+    for d, (apparent, dead_ends) in enumerate(zip(scan.apparent, scan.dead_ends)):
+        # With no layer above, the coboundary is zero.
+        rank, factors, cleared = _dead_end_invariants(
+            graph.masks, dead_ends, cleared, modulus, deadline, d
+        ) if d + 1 < len(counts) else (0, (), frozenset())
+        ranks.append(apparent + rank)
         torsion.append(factors)
-        if d == max_dim:
-            size = sum(map(int.bit_count, cands))
-            if size:
-                counts.append(size)
-                complete = not _reaches_two_up(masks, cands, d, deadline)
-            break
 
     depth = len(torsion) if max_dim is None else max_dim + 1
     pad = depth - len(torsion)
@@ -475,8 +483,8 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
         coefficients="gf2" if modulus else "integer",
         betti=tuple(cells[d] - ranks[d] - ranks[d + 1] for d in range(depth)),
         torsion=tuple(torsion) + ((),) * pad,
-        euler=euler_characteristic(counts) if complete else None,
-        truncated_at=None if complete and len(counts) <= depth else max_dim,
+        euler=euler_characteristic(counts) if scan.complete else None,
+        truncated_at=None if scan.complete and len(counts) <= depth else max_dim,
         counts=tuple(counts),
     )
 
@@ -486,15 +494,16 @@ def betti_gf2(graph: Graph, max_betti_dim: int | None, deadline: float | None = 
     """GF(2) Betti numbers of the clique complex of a graph through max_betti_dim.
 
     None means every dimension.  The budget caps the simplices through
-    max_betti_dim + 1 as in ``iter_layers``.  Over a field the rank of the
-    boundary d+1 -> d equals the rank of the coboundary d -> d+1, so the
+    max_betti_dim + 1 as in ``scan_clique_tree``.  Over a field the rank of
+    the boundary d+1 -> d equals the rank of the coboundary d -> d+1, so the
     coboundaries are reduced instead, from dimension 0 upward, by the
     reducer of ``homology_integer`` with entries taken mod 2.  Every simplex
     is keyed by the bitmask of its vertices, with the largest key as pivot.
-    A (d + 1)-simplex that is a pivot row of the coboundary of dimension d
-    has a column that reduces to zero one dimension up, so it is cleared
-    without being built (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer,
-    Ripser 2021).
+    The columns with an extension are apparent pairs and need no
+    arithmetic; a (d + 1)-simplex that is a pivot row of the coboundary of
+    dimension d has a column that reduces to zero one dimension up, so it is
+    cleared without being built (de Silva, Morozov & Vejdemo-Johansson 2011;
+    Bauer, Ripser 2021).  Only the other dead ends are reduced.
     """
     return _coboundary_profile(graph, max_betti_dim, 2, deadline, budget)
 
@@ -508,9 +517,10 @@ def homology_integer(graph: Graph, max_dim: int | None, deadline: float | None =
     transpose, the coboundary of dimension d, has the same rank and the same
     invariant factors.  The coboundaries are reduced from dimension 0 upward
     by exact integer column operations on unit pivots, the same reducer
-    ``betti_gf2`` runs mod 2.  Each unit pivot pair is an elementary
-    reduction of the chain complex (Kaczynski, Mrozek & Slusarek 1998), so
-    the (d + 1)-simplices that are unit pivot rows of dimension d are cleared
+    ``betti_gf2`` runs mod 2: the apparent pairs are counted, and only the
+    dead ends are reduced.  Each unit pivot pair is an elementary reduction
+    of the chain complex (Kaczynski, Mrozek & Slusarek 1998), so the
+    (d + 1)-simplices that are unit pivot rows of dimension d are cleared
     one dimension up without changing the rank or any invariant factor.  The
     columns whose low entry is not +/-1 are finished against the unit pivots
     once the dimension is reduced, and only what is left of them goes to

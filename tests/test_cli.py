@@ -138,6 +138,27 @@ class TestBettiCommand:
         assert payload["error"] == "budget"
         assert "simplex budget" in payload["message"]
 
+    def test_budget_error_reports_dimension_and_count(self, capsys):
+        # The simplex budget error names the dimension being counted and the
+        # running total that passed the budget; a time budget error has neither.
+        code, _, err = run_cli(
+            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
+            "--max-dim", "3", "--budget", "100",
+        )
+        payload = read_error(err)
+        assert payload["count"] > 100
+        assert payload["message"] == (
+            f"simplex budget of 100 exceeded while enumerating dimension {payload['dim']}"
+            f" at {payload['count']} simplices"
+        )
+        code, _, err = run_cli(
+            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
+            "--max-dim", "3", "--time-budget", "0",
+        )
+        assert code == 3
+        payload = read_error(err)
+        assert "dim" not in payload and "count" not in payload
+
     def test_budget_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("SIMPLEX_BUDGET", "100")
         code, _, err = run_cli(

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torus_rips as tr
-from torus_rips.complexes import collapse_edges, iter_bits, iter_layers
+from torus_rips.complexes import collapse_edges, iter_bits, iter_layers, scan_clique_tree
 from torus_rips.errors import (
     BudgetError,
     SimplexBudgetError,
@@ -505,6 +505,110 @@ class TestEnumerateSimplices:
             cx_b = tr.enumerate_simplices(tr.vr_graph(twisted, k), 3)
             assert cx_a.counts == cx_b.counts
             assert cx_a.complete == cx_b.complete
+
+
+def scan_reference(graph, max_dim):
+    """What scan_clique_tree should report, read off the layers of iter_layers."""
+    counts, apparent, dead_ends = [], [], []
+    complete = True
+    top = None if max_dim is None else max_dim + 1
+    for d, (keys, cands) in enumerate(iter_layers(graph, top, None)):
+        counts.append(len(keys))
+        if d == top:
+            complete = not any(cands)
+            break
+        apparent.append(sum(1 for cand in cands if cand))
+        ends = []
+        for key, cand in zip(keys, cands):
+            parent = key ^ 1 << key.bit_length() - 1
+            siblings = (1 << graph.vertex_count) - 1
+            for v in iter_bits(parent):
+                siblings &= graph.masks[v]
+            # A last child has no sibling above it; every vertex is its own root.
+            if not cand and (not parent or siblings >> key.bit_length()):
+                ends.append(key)
+        dead_ends.append(ends)
+    return tuple(counts), tuple(apparent), tuple(dead_ends), complete
+
+
+class TestScanCliqueTree:
+    @given(
+        st.one_of(
+            st.builds(random_graph, st.integers(min_value=1, max_value=12),
+                      st.floats(min_value=0.2, max_value=0.95),
+                      st.integers(min_value=0, max_value=2**32 - 1)),
+            st.builds(tr.vr_graph, relabelled_tori(), st.integers(min_value=1, max_value=3)),
+        ),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_matches_the_enumerated_layers(self, graph, max_dim):
+        scan = scan_clique_tree(graph, max_dim)
+        want = scan_reference(graph, max_dim)
+        assert (scan.counts, scan.apparent, tuple(scan.dead_ends), scan.complete) == want
+
+    @given(st.builds(random_graph, st.integers(min_value=1, max_value=12),
+                     st.floats(min_value=0.3, max_value=0.95),
+                     st.integers(min_value=0, max_value=2**32 - 1)),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=3)))
+    @settings(deadline=None, max_examples=40)
+    def test_budget_refuses_iff_the_total_passes_it(self, graph, max_dim):
+        # The refusal comes from a running total across the vertex subtrees,
+        # so the dimension it reports may lie above the one where the total
+        # through each dimension first passes the budget; whether it comes
+        # depends on the total through max_dim + 1 alone.
+        total = sum(scan_clique_tree(graph, max_dim, budget=None).counts)
+        assert sum(scan_clique_tree(graph, max_dim, budget=total).counts) == total
+        with pytest.raises(SimplexBudgetError) as info:
+            scan_clique_tree(graph, max_dim, budget=total - 1)
+        assert total - 1 < info.value.count <= total
+        assert str(info.value).endswith(f"at {info.value.count} simplices")
+
+    def test_deadline_read_once_per_parent_extended(self, monkeypatch):
+        readings = itertools.count()
+        monkeypatch.setattr(tr.complexes, "_DEADLINE_CHUNK", 1)
+        monkeypatch.setattr(tr.complexes, "time", type("Clock", (), {
+            "monotonic": staticmethod(lambda: next(readings))}))
+        graph = tr.vr_graph(tr.torus_space(6), 2)
+        for max_dim in (None, 1, 2, 4):
+            readings = itertools.count()
+            scan = scan_clique_tree(graph, max_dim, deadline=float("inf"))
+            # Every simplex with an extension below max_dim is extended once.
+            assert next(readings) == sum(scan.apparent[:max_dim])
+
+    def test_deadline_checked_within_a_dimension(self, monkeypatch):
+        # The scan reads the clock every 4096 parents, so it stops partway
+        # through the subtrees, not only between them.
+        class Clock:
+            ticks = 0
+
+            def monotonic(self):
+                Clock.ticks += 1
+                return Clock.ticks
+
+        graph = tr.vr_graph(tr.torus_space(7), 3)
+        monkeypatch.setattr(tr.complexes, "time", Clock())
+        scan_clique_tree(graph, 4, deadline=float("inf"))
+        readings = Clock.ticks
+        assert readings > 1
+        Clock.ticks = 0
+        with pytest.raises(BudgetError, match="while enumerating dimension [1-4]$"):
+            scan_clique_tree(graph, 4, deadline=readings - 0.5)
+
+    def test_top_layer_is_counted_not_kept(self):
+        # Only the simplices with an extension below the top reduced layer
+        # are kept, one vertex subtree at a time, so the peak is a few bytes
+        # per simplex of the top layer: one int key alone takes 28 or more.
+        graph = tr.vr_graph(tr.torus_space(8), 3)
+        counts = scan_clique_tree(graph, 4).counts
+        assert counts[4] > 5000
+        tracemalloc.start()
+        try:
+            scan_clique_tree(graph, 4)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 10 * counts[4]
 
 
 class TestBoundaryMatrix:

@@ -344,21 +344,18 @@ class TestBettiGf2:
         with pytest.raises(BudgetError):
             tr.compute_profile(tr.torus_space(5), 2, config)
 
-    def test_deadline_checked_within_a_dimension(self, reducer_clock):
-        # The run must stop partway through the columns of one dimension,
-        # not only between dimensions.  The last reading is the probe for a
-        # simplex of dimension 5, the one before it the last 4096 columns of
-        # dimension 3.
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(7), 3), 4)
-        assert cx.counts[3] > 4096 and cx.counts[4] > 0
-        tr.betti_gf2(cx.graph, 3, deadline=float("inf"))
+    def test_deadline_checked_within_a_dimension(self, monkeypatch, reducer_clock):
+        # The run must stop partway through the dead ends of one dimension,
+        # not only between dimensions.  With the clock read every 16 dead
+        # ends, the last reading comes within those of dimension 3.
+        monkeypatch.setattr(tr.homology, "_DEADLINE_CHUNK", 16)
+        graph = tr.vr_graph(tr.torus_space(7), 3)
+        assert len(tr.complexes.scan_clique_tree(graph, 3).dead_ends[3]) > 16
+        tr.betti_gf2(graph, 3, deadline=float("inf"))
         readings = reducer_clock.ticks
         reducer_clock.ticks = 0
-        with pytest.raises(BudgetError, match=r"GF\(2\) reduction at column [1-9]"):
-            tr.betti_gf2(cx.graph, 3, deadline=readings - 1.5)
-        reducer_clock.ticks = 0
-        with pytest.raises(BudgetError, match=r"while probing dimension 5"):
-            tr.betti_gf2(cx.graph, 3, deadline=readings - 0.5)
+        with pytest.raises(BudgetError, match=r"GF\(2\) reduction of dimension 3 at dead end [1-9]"):
+            tr.betti_gf2(graph, 3, deadline=readings - 0.5)
 
     def test_projective_plane_reduces_mod_two(self, smith_calls):
         # H_1 = Z/2 makes betti 1 in dimensions 1 and 2 over GF(2).  Exact
@@ -641,14 +638,14 @@ class TestHomologyInteger:
         profile = tr.homology_integer(cx.graph, max_dim)
         assert (profile.betti, profile.torsion) == homology_direction_integer(cx, max_dim)
 
-    def test_deadline_checked_within_a_dimension(self, reducer_clock):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(7), 3), 4)
-        assert cx.counts[3] > 4096 and cx.counts[4] > 0
-        tr.homology_integer(cx.graph, 3, deadline=float("inf"))
+    def test_deadline_checked_within_a_dimension(self, monkeypatch, reducer_clock):
+        monkeypatch.setattr(tr.homology, "_DEADLINE_CHUNK", 16)
+        graph = tr.vr_graph(tr.torus_space(7), 3)
+        tr.homology_integer(graph, 3, deadline=float("inf"))
         readings = reducer_clock.ticks
         reducer_clock.ticks = 0
-        with pytest.raises(BudgetError, match=r"integer reduction at column [1-9]"):
-            tr.homology_integer(cx.graph, 3, deadline=readings - 1.5)
+        with pytest.raises(BudgetError, match=r"integer reduction of dimension 3 at dead end [1-9]"):
+            tr.homology_integer(graph, 3, deadline=readings - 0.5)
 
     def test_deadline_checked_in_residual_finish(self, monkeypatch, reducer_clock):
         # With the Smith normal form stubbed out, the last reading of the
@@ -690,46 +687,37 @@ def test_reducers_never_read_vertex_tuples(monkeypatch):
     assert (rp2.betti, rp2.torsion) == want_rp2
 
 
-def test_stream_reduces_each_layer_before_building_the_next(monkeypatch):
-    # Layer d + 1 is built only after the coboundary of layer d is reduced,
-    # the layer above max_dim is counted and never built, and a refusal at
-    # dimension D comes after the coboundaries of dimensions 0 to D - 2.
-    events = []
-    layers = tr.homology.iter_layers
-    reduce = tr.homology._coboundary_invariants
+def test_scan_counts_every_layer_before_any_reduction(monkeypatch):
+    # One scan counts the layers through max_dim + 1 before the dead ends of
+    # any dimension are reduced, so a refusal comes before any reduction.
+    reduced = []
+    reduce = tr.homology._dead_end_invariants
 
-    def spy_layers(*args):
-        for d, layer in enumerate(layers(*args)):
-            events.append(("built", d))
-            yield layer
+    def spy(masks, dead_ends, *args):
+        reduced.append(args[-1])
+        return reduce(masks, dead_ends, *args)
 
-    def spy_reduce(masks, keys, *args):
-        result = reduce(masks, keys, *args)
-        events.append(("reduced", keys[0].bit_count() - 1))
-        return result
-
-    monkeypatch.setattr(tr.homology, "iter_layers", spy_layers)
-    monkeypatch.setattr(tr.homology, "_coboundary_invariants", spy_reduce)
+    monkeypatch.setattr(tr.homology, "_dead_end_invariants", spy)
     graph = tr.vr_graph(tr.torus_space(5), 2)
     for reducer in (tr.betti_gf2, tr.homology_integer):
-        events.clear()
+        reduced.clear()
         profile = reducer(graph, 2)
-        assert events == [("built", 0), ("reduced", 0), ("built", 1), ("reduced", 1),
-                          ("built", 2), ("reduced", 2)]
+        assert reduced == [0, 1, 2]
         assert profile.counts == (25, 150, 300, 200)
 
     # The whole complex: the top layer has no coboundary to reduce.
-    events.clear()
+    reduced.clear()
     assert tr.betti_gf2(tr.vr_graph(tr.cycle_space(6), 2), None).counts == (6, 12, 8)
-    assert events == [("built", 0), ("reduced", 0), ("built", 1), ("reduced", 1), ("built", 2)]
+    assert reduced == [0, 1]
 
-    # The fixture betti_torus8_k6_d6_over_budget is refused at dimension 4.
-    events.clear()
-    with pytest.raises(SimplexBudgetError, match="while enumerating dimension 4") as info:
+    # The fixture betti_torus8_k6_d6_over_budget: the running total passes
+    # the budget while the subtree of vertex 0 is counted in dimension 5.
+    reduced.clear()
+    with pytest.raises(SimplexBudgetError,
+                       match="while enumerating dimension 5 at 2156579 simplices") as info:
         tr.betti_gf2(tr.vr_graph(tr.torus_space(8), 6), 6, budget=1_000_000)
-    assert info.value.dim == 4
-    assert events == [("built", 0), ("reduced", 0), ("built", 1), ("reduced", 1),
-                      ("built", 2), ("reduced", 2)]
+    assert (info.value.dim, info.value.count) == (5, 2156579)
+    assert reduced == []
 
 
 @st.composite
@@ -817,10 +805,10 @@ def test_collapsed_profile_matches_raw_reducers(case, full):
 
 
 def test_cases_include_columns_without_extensions():
-    # The emergent low key | topbit(cand) covers every column with a nonzero
-    # extension mask.  These inputs of the property above also have columns
-    # with none whose cofaces add a vertex below the last one, so the common
-    # neighbour path of the reducer is crossed as well.
+    # A column with a nonzero extension mask is an apparent pair with the
+    # low key | topbit(cand).  These inputs of the property above also have
+    # columns with none whose cofaces add a vertex below the last one, so the
+    # dead-end reduction is crossed as well.
     for graph in (
         tr.vr_graph(tr.torus_space(4), 2),
         relabelled(tr.vr_graph(tr.torus_space(5), 2), 1),
