@@ -53,7 +53,12 @@ def _parse_window(text: str) -> Window:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, hi = map(int, text.split(":") if ":" in text else (text, text))
+    try:
+        lo, hi = map(int, text.split(":") if ":" in text else (text, text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range must be an integer or look like '3:9', got {text!r}"
+        ) from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"range {text} is empty: {lo} > {hi}")
     return lo, hi

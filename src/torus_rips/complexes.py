@@ -8,9 +8,9 @@ vertex bitmasks, bit v set iff v is in the set; vertex tuples are made only
 for listings.  ``collapse_edges`` drops dominated edges, keeping the homotopy
 type.  ``scan_clique_tree`` walks the complex one vertex subtree at a time and
 keeps only what the coboundary reducer needs: the counts per dimension, the
-number of simplices with an extension and the dead ends.  ``iter_layers``
-streams whole layers, each simplex with its extension mask, for
-``enumerate_simplices``, which collects them for listings and the tests.
+number of simplices with an extension and the dead ends.
+``enumerate_simplices`` builds whole layers, one from the other, and keeps
+them for listings and the tests.
 """
 
 from __future__ import annotations
@@ -235,62 +235,6 @@ class FlagComplex:
         )
 
 
-def iter_layers(
-    graph: Graph,
-    max_dim: int | None = None,
-    budget: int | None = DEFAULT_SIMPLEX_BUDGET,
-    deadline: float | None = None,
-) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield the clique layers of the graph from dimension 0 up, each when asked for.
-
-    Layer d is the list of d-simplices as vertex bitmasks, in the
-    lexicographic order of their vertex tuples, and the list of their
-    extension masks ``cand``: the vertices beyond the last member adjacent to
-    all of it.  The bits of cand are taken from the lowest up, so once bit v
-    is taken what is left of cand is its part above v, and the child key | v
-    gets that part ANDed with v's neighbours as its mask.  Layer d + 1 thus
-    takes one AND per extension and one OR per new key.  The stream ends
-    after max_dim or before an empty layer.  The popcounts of ``cands`` are
-    the exact size of layer d + 1, so the budget, a cap on simplices across
-    all dimensions, refuses it with SimplexBudgetError before layer d is
-    handed out.  The deadline, a time.monotonic() cutoff, is read every 4096
-    parents extended.
-    """
-    if max_dim is not None and max_dim < 0:
-        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
-    n = graph.vertex_count
-    masks = graph.masks
-    keys: list[int] = [1 << v for v in range(n)]
-    cands: list[int] = [masks[v] & -(1 << (v + 1)) for v in range(n)]
-    total = n
-    if budget is not None and total > budget:
-        raise SimplexBudgetError(budget, 0)
-    for d in itertools.count():
-        size = sum(map(int.bit_count, cands))
-        if not size or d == max_dim:
-            yield keys, cands
-            return
-        total += size
-        if budget is not None and total > budget:
-            raise SimplexBudgetError(budget, d + 1)
-        yield keys, cands
-        next_keys: list[int] = []
-        next_cands: list[int] = []
-        append_s = next_keys.append
-        append_c = next_cands.append
-        for start in range(0, len(keys), _DEADLINE_CHUNK):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError(f"time budget exceeded while enumerating dimension {d + 1}")
-            stop = start + _DEADLINE_CHUNK
-            for key, m in zip(keys[start:stop], cands[start:stop]):
-                while m:
-                    low = m & -m
-                    m ^= low
-                    append_s(key | low)
-                    append_c(m & masks[low.bit_length() - 1])
-        keys, cands = next_keys, next_cands
-
-
 def _has_edge_within(masks: tuple[int, ...], cand: int) -> bool:
     """Whether two vertices of cand are adjacent, so its simplex has a coface two up."""
     while cand:
@@ -331,9 +275,9 @@ def scan_clique_tree(
     The clique tree hangs each simplex under the face that drops its top
     vertex, and the subtree of vertex v holds the cliques whose lowest
     vertex is v.  Each subtree is extended layer by layer as in
-    ``iter_layers``, and the subtrees in vertex order give every dimension in
-    lexicographic order.  Only the simplices below max_dim with a nonzero
-    extension mask are kept to be extended, so the live set is one
+    ``enumerate_simplices``, and the subtrees in vertex order give every
+    dimension in lexicographic order.  Only the simplices below max_dim with
+    a nonzero extension mask are kept to be extended, so the live set is one
     subtree's, plus the dead ends.  Layer max_dim is classified as it is
     made, not kept, and the layer above it is counted from the masks and
     probed for a simplex one dimension higher; None means every dimension.
@@ -343,7 +287,8 @@ def scan_clique_tree(
     is built.  So a complex is refused iff it holds more simplices through
     max_dim + 1 than the budget, and the dimension reported is the one being
     counted when the total passed it.  The deadline, a time.monotonic()
-    cutoff, is read every 4096 parents extended.
+    cutoff, is read before each subtree layer is extended and every 4096
+    parents within it.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
@@ -354,21 +299,6 @@ def scan_clique_tree(
     if budget is not None and total > budget:
         raise SimplexBudgetError(budget, 0, total)
     reaches = False
-    extended = 0
-
-    def ticked(keys: list[int], cands: list[int], d: int) -> Iterator[Iterator[tuple[int, int]]]:
-        """(key, cand) pairs in runs that end at every 4096th parent, the clock read before each."""
-        nonlocal extended
-        pairs = zip(keys, cands)
-        left = len(keys)
-        while left:
-            offset = extended % _DEADLINE_CHUNK
-            if deadline is not None and not offset and time.monotonic() > deadline:
-                raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
-            step = min(left, _DEADLINE_CHUNK - offset)
-            extended += step
-            left -= step
-            yield itertools.islice(pairs, step)
 
     def count(d: int, size: int) -> None:
         nonlocal total
@@ -398,12 +328,15 @@ def scan_clique_tree(
                 apparent.append(0)
                 dead_ends.append([])
             dead = dead_ends[d].append
+            pairs = zip(keys, cands)
             if d == max_dim:
                 # The top reduced layer is classified and its extensions
                 # counted, but it is not kept.
                 live = above = 0
-                for run in ticked(keys, cands, d):
-                    for key, m in run:
+                for _ in range(0, len(keys), _DEADLINE_CHUNK):
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+                    for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
                         while m:
                             low = m & -m
                             m ^= low
@@ -423,8 +356,10 @@ def scan_clique_tree(
             next_cands: list[int] = []
             append_k = next_keys.append
             append_c = next_cands.append
-            for run in ticked(keys, cands, d):
-                for key, m in run:
+            for _ in range(0, len(keys), _DEADLINE_CHUNK):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+                for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
                     while m:
                         low = m & -m
                         m ^= low
@@ -452,31 +387,65 @@ def enumerate_simplices(
     budget: int | None = DEFAULT_SIMPLEX_BUDGET,
     deadline: float | None = None,
 ) -> FlagComplex:
-    """All cliques of the graph with at most max_dim + 1 vertices, from ``iter_layers``.
+    """All cliques of the graph with at most max_dim + 1 vertices, layer by layer.
 
-    max_dim must be nonnegative; the budget (None disables it) and the
-    deadline act as in ``iter_layers``.  The FlagComplex is ``complete`` iff
-    the complex has no simplex above the last enumerated dimension.
+    Layer d lists the d-simplices as vertex bitmasks in the lexicographic
+    order of their vertex tuples, each with its extension mask ``cand``: the
+    vertices beyond its last member adjacent to all of it.  The bits of cand
+    are taken from the lowest up, so once bit v is taken what is left of
+    cand is its part above v, and the child key | v gets that part ANDed
+    with v's neighbours as its mask.  Layer d + 1 thus takes one AND per
+    extension and one OR per new key.  The popcounts of the cands are the
+    exact size of layer d + 1, so the budget, a cap on simplices across all
+    dimensions (None disables it), refuses that layer with
+    SimplexBudgetError before it is built.  The deadline, a time.monotonic()
+    cutoff, is read as each layer is begun and every 4096 parents within it.
+    max_dim must be nonnegative.  The FlagComplex is ``complete``
+    iff the complex has no simplex above the last enumerated dimension.
     """
-    layers = []
-    for keys, cands in iter_layers(graph, max_dim, budget, deadline):
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
+    n = graph.vertex_count
+    masks = graph.masks
+    keys: list[int] = [1 << v for v in range(n)]
+    cands: list[int] = [masks[v] & -(1 << (v + 1)) for v in range(n)]
+    layers = [tuple(keys)]
+    total = n
+    if budget is not None and total > budget:
+        raise SimplexBudgetError(budget, 0, total)
+    for d in range(1, max_dim + 1):
+        size = sum(map(int.bit_count, cands))
+        if not size:
+            break
+        total += size
+        if budget is not None and total > budget:
+            raise SimplexBudgetError(budget, d, total)
+        next_keys: list[int] = []
+        next_cands: list[int] = []
+        append_k = next_keys.append
+        append_c = next_cands.append
+        pairs = zip(keys, cands)
+        for _ in range(0, len(keys), _DEADLINE_CHUNK):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+            for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
+                while m:
+                    low = m & -m
+                    m ^= low
+                    append_k(key | low)
+                    append_c(m & masks[low.bit_length() - 1])
+        keys, cands = next_keys, next_cands
         layers.append(tuple(keys))
     return FlagComplex(
         graph=graph,
         keys=tuple(layers),
         counts=tuple(map(len, layers)),
-        complete=len(layers) <= max_dim or not any(cands),
+        complete=not any(cands),
     )
 
 
-def euler_characteristic(counts: FlagComplex | Iterable[int]) -> int:
-    """Alternating sum of simplex counts or Betti numbers; refuses a truncated complex."""
-    if isinstance(counts, FlagComplex):
-        if not counts.complete:
-            raise TruncatedComplexError(
-                f"complex truncated at dimension {counts.top_dim}; Euler characteristic unknown"
-            )
-        counts = counts.counts
+def euler_characteristic(counts: Iterable[int]) -> int:
+    """Alternating sum of simplex counts or Betti numbers, dimension 0 first."""
     return sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
 
 

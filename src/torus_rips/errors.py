@@ -8,19 +8,18 @@ class BudgetError(RuntimeError):
 
 
 class SimplexBudgetError(BudgetError):
-    """Clique enumeration hit the global simplex budget.
+    """Clique enumeration or the clique-tree scan hit the global simplex budget.
 
     Carries the budget, the dimension that was being enumerated when the
-    budget ran out and, when the enumerator kept one, ``count``, the running
-    simplex total that passed the budget, so callers can report how far the
-    enumeration got.
+    budget ran out and ``count``, the running simplex total that passed the
+    budget, so callers can report how far the enumeration got.
     """
 
-    def __init__(self, budget: int, dim: int, count: int | None = None) -> None:
-        message = f"simplex budget of {budget} exceeded while enumerating dimension {dim}"
-        if count is not None:
-            message += f" at {count} simplices"
-        super().__init__(message)
+    def __init__(self, budget: int, dim: int, count: int) -> None:
+        super().__init__(
+            f"simplex budget of {budget} exceeded while enumerating dimension {dim} "
+            f"at {count} simplices"
+        )
         self.budget = budget
         self.dim = dim
         self.count = count

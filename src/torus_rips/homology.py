@@ -21,12 +21,13 @@ the pivots found by reducing the dead ends, the other columns.
 vertex subtree at a time; each dimension's dead ends are then reduced
 against a pivot map that holds the explicit pivots and resolves the apparent
 rows from the graph's adjacency bitmasks on demand.  No tuple, boundary
-matrix, face index or whole clique layer is built.  Over the integers a
-reduced column whose low entry is not +/-1 is set aside, and once the
-dimension is reduced, what is left of those columns off the pivots' rows
-goes to ``smith_invariants``, which runs the same unit-pivot steps on it and
-finishes any leftover core densely.  All arithmetic is on Python ints, so
-overflow cannot occur and torsion is read off the invariant factors.
+matrix, face index or whole clique layer is built.  One routine, ``_reduce``,
+does the elimination: over the integers a reduced column whose low entry is
+not +/-1 is set aside, and once every column is filed, the set-aside columns
+are reduced on the pivots' rows and what is left of them is diagonalised
+densely.  ``smith_invariants`` is the same routine behind a front end that
+checks its rows.  All arithmetic is on Python ints, so overflow cannot occur
+and torsion is read off the invariant factors.
 
 Both rings are bounded in size only by the simplex budget and in time by the
 deadline; live memory is one vertex subtree, the dead ends and the explicit
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .complexes import (_DEADLINE_CHUNK, DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph,
                         euler_characteristic, scan_clique_tree)
@@ -168,47 +169,30 @@ def smith_invariants(
 ) -> tuple[int, tuple[int, ...]]:
     """Rank and nontrivial invariant factors of a sparse integer matrix.
 
-    The columns are reduced left to right on the unit lows of a pivot map
-    keyed by the largest row index, and the residual columns are finished on
-    the pivot rows: the steps ``_add_column`` and ``_finish_residual`` of the
-    coboundary reducer.  What is left of the residual columns goes to a
-    dense textbook Smith normal form, refused with BudgetError when it would
-    hold more than ``_DENSE_CORE_LIMIT`` entries.
+    The front end of ``_reduce``, the coboundary reducer's elimination: it
+    drops zero entries, checks every row index against ``n_rows`` and reads
+    the deadline every 4096 columns as they are drawn.  ``_reduce`` files the
+    columns on the unit lows of a pivot map keyed by the largest row index,
+    finishes the residual columns on the pivot rows and hands what is left
+    of them to a dense textbook Smith normal form, refused with BudgetError
+    when it would hold more than ``_DENSE_CORE_LIMIT`` entries.
 
     Returns:
         (rank, factors) where factors are the invariant factors greater
         than 1 in divisibility order.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    residual: list[dict[int, int]] = []
-    for j, col in enumerate(columns):
-        if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetError("time budget exceeded during integer elimination")
-        live = {r: v for r, v in col.items() if v}
-        for r in live:
-            if not 0 <= r < n_rows:
-                raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
-        _add_column(live, pivots, residual, 0)
-    _finish_residual(residual, pivots, deadline)
 
-    # Dense finish on whatever the unit pivots could not clear.
-    live_rows = sorted(set().union(*residual))
-    live_cols = [col for col in residual if col]
-    factors: list[int] = []
-    if live_rows:
-        entries = len(live_rows) * len(live_cols)
-        if entries > _DENSE_CORE_LIMIT:
-            raise BudgetError(
-                f"dense Smith normal form core of {len(live_rows)} x {len(live_cols)} "
-                f"= {entries} entries, over the limit of {_DENSE_CORE_LIMIT}"
-            )
-        row_pos = {r: i for i, r in enumerate(live_rows)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for j, col in enumerate(live_cols):
-            for r, v in col.items():
-                dense[row_pos[r]][j] = v
-        factors = _dense_snf_diagonal(dense, deadline)
-    return len(pivots) + len(factors), tuple(f for f in factors if f > 1)
+    def checked() -> Iterator[dict[int, int]]:
+        for j, col in enumerate(columns):
+            if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
+                raise BudgetError("time budget exceeded during integer elimination")
+            live = {r: v for r, v in col.items() if v}
+            for r in live:
+                if not 0 <= r < n_rows:
+                    raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
+            yield live
+
+    return _reduce(checked(), {}, 0, deadline)
 
 
 def _dense_snf_diagonal(m: list[list[int]], deadline: float | None = None) -> list[int]:
@@ -341,10 +325,14 @@ class _PivotMap(dict):
     def __contains__(self, row: object) -> bool:
         return dict.__contains__(self, row) or self._apparent_face(row) is not None
 
-    def __missing__(self, row: int) -> dict[int, int]:
+    def get(self, row: int) -> dict[int, int] | None:
+        """The explicit or apparent pivot column of row, or None when it has none."""
+        column = dict.get(self, row)
+        if column is not None:
+            return column
         face = self._apparent_face(row)
         if face is None:
-            raise KeyError(row)
+            return None
         column = _signed_column(*face)
         if column[row] == -1:
             for r in column:
@@ -352,9 +340,8 @@ class _PivotMap(dict):
         return column
 
 
-def _eliminate(col: dict[int, int], low: int, pivots: dict, modulus: int) -> None:
-    """Clear row low of col in place with its unit pivot."""
-    other = pivots[low]
+def _eliminate(col: dict[int, int], low: int, other: dict[int, int], modulus: int) -> None:
+    """Clear row low of col in place with other, a pivot column +1 at low."""
     a = col[low]
     for r, v in other.items():
         nv = col.get(r, 0) - a * v
@@ -376,9 +363,10 @@ def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]
     """
     while col:
         low = max(col)
-        if low not in pivots:
+        other = pivots.get(low)
+        if other is None:
             break
-        _eliminate(col, low, pivots, modulus)
+        _eliminate(col, low, other, modulus)
     if not col:
         return
     a = col[low]
@@ -391,22 +379,47 @@ def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]
     pivots[low] = col
 
 
-def _finish_residual(residual: list[dict[int, int]], pivots: dict,
-                     deadline: float | None) -> None:
-    """Reduce each residual column on every pivot row it meets, largest first.
+def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
+            deadline: float | None) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors > 1 of the columns, filed into pivots as they are reduced.
 
-    Each unit pivot then splits off an invariant factor of 1: on the pivot
-    rows the pivots form a triangular matrix with unit diagonal, so row
-    operations from those rows clear the pivots' other entries and leave the
-    residual columns, zero there, alone.  The rank is the pivot count plus
-    the rank of the residual core on the other rows, and the invariant
-    factors are the core's.  The deadline is checked before each column.
+    Each column is filed by ``_add_column``, entries taken mod ``modulus``
+    when it is nonzero and kept exact when it is 0.  Each residual column is
+    then reduced on every pivot row it meets, largest first, with the
+    deadline read before each.  Every unit pivot so splits off an invariant
+    factor of 1: on the pivot rows the pivots form a triangular matrix with
+    unit diagonal, so row operations from those rows clear the pivots' other
+    entries and leave the residual columns, zero there, alone.  The rank is
+    the number of explicit pivots plus the rank of the residual core on the
+    other rows, and the invariant factors are the core's, from a dense Smith
+    normal form refused with BudgetError when it would hold more than
+    ``_DENSE_CORE_LIMIT`` entries.
     """
+    residual: list[dict[int, int]] = []
+    for col in columns:
+        _add_column(col, pivots, residual, modulus)
+    if not residual:
+        return len(pivots), ()
     for i, col in enumerate(residual):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
         while (low := max((r for r in col if r in pivots), default=None)) is not None:
-            _eliminate(col, low, pivots, 0)
+            _eliminate(col, low, pivots.get(low), 0)
+
+    live_rows = sorted(set().union(*residual))
+    entries = len(live_rows) * len(residual)
+    if entries > _DENSE_CORE_LIMIT:
+        raise BudgetError(
+            f"dense Smith normal form core of {len(live_rows)} x {len(residual)} "
+            f"= {entries} entries, over the limit of {_DENSE_CORE_LIMIT}"
+        )
+    row_pos = {r: i for i, r in enumerate(live_rows)}
+    dense = [[0] * len(residual) for _ in live_rows]
+    for j, col in enumerate(residual):
+        for r, v in col.items():
+            dense[row_pos[r]][j] = v
+    factors = _dense_snf_diagonal(dense, deadline)
+    return len(pivots) + len(factors), tuple(f for f in factors if f > 1)
 
 
 def _dead_end_invariants(
@@ -416,42 +429,28 @@ def _dead_end_invariants(
     """Rank beyond the apparent pairs, and invariant factors > 1, of the coboundary of dimension d.
 
     The columns are the dead ends of the layer not in ``cleared_rows``, in
-    lexicographic order.  Each is built from the masks and reduced with
-    ``_add_column`` against a ``_PivotMap``, entries taken mod ``modulus``
-    when it is nonzero (2 for GF(2)) and kept exact when it is 0.  Every
-    other column needs no arithmetic: one with a nonzero extension mask is an
-    apparent pair, and a last child is the row of its parent's apparent pair,
-    so it is cleared.  The deadline is checked every 4096 dead ends, cleared
-    ones included.
-
-    A reduced column whose low entry is not a unit, which only happens over
-    the integers, is kept as residual and finished by ``_finish_residual``.
-    The invariant factors are then the residual core's, from
-    ``smith_invariants`` with the rows renumbered from the columns' own row
-    keys.  Also returns the explicit pivot rows, which clear the dead ends
-    one dimension up.
+    lexicographic order, each built from the masks as it is drawn and
+    reduced by ``_reduce`` against a ``_PivotMap``.  Every other column needs
+    no arithmetic: one with a nonzero extension mask is an apparent pair,
+    and a last child is the row of its parent's apparent pair, so it is
+    cleared.  The deadline is read every 4096 dead ends, cleared ones
+    included, and as in ``_reduce``.  Also returns the explicit pivot rows,
+    which clear the dead ends one dimension up.
     """
     ring = "GF(2)" if modulus == 2 else "integer"
-    pivots = _PivotMap(masks)
-    residual: list[dict[int, int]] = []
-    for start in range(0, len(dead_ends), _DEADLINE_CHUNK):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(
-                f"time budget exceeded during {ring} reduction of dimension {d} at dead end {start}"
-            )
-        for key in dead_ends[start:start + _DEADLINE_CHUNK]:
-            if key not in cleared_rows:
-                col = _signed_column(key, _common_neighbours(masks, key))
-                _add_column(col, pivots, residual, modulus)
 
-    rows = frozenset(pivots)
-    if not residual:
-        return len(rows), (), rows
-    _finish_residual(residual, pivots, deadline)
-    index = {r: i for i, r in enumerate(sorted(set().union(*residual)))}
-    core = [{index[r]: v for r, v in col.items()} for col in residual]
-    rank, factors = smith_invariants(len(index), core, deadline)
-    return len(rows) + rank, factors, rows
+    def columns() -> Iterator[dict[int, int]]:
+        for start in range(0, len(dead_ends), _DEADLINE_CHUNK):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetError(f"time budget exceeded during {ring} reduction "
+                                  f"of dimension {d} at dead end {start}")
+            for key in dead_ends[start:start + _DEADLINE_CHUNK]:
+                if key not in cleared_rows:
+                    yield _signed_column(key, _common_neighbours(masks, key))
+
+    pivots = _PivotMap(masks)
+    rank, factors = _reduce(columns(), pivots, modulus, deadline)
+    return rank, factors, frozenset(pivots)
 
 
 def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
@@ -524,9 +523,9 @@ def homology_integer(graph: Graph, max_dim: int | None, deadline: float | None =
     one dimension up without changing the rank or any invariant factor.  The
     columns whose low entry is not +/-1 are finished against the unit pivots
     once the dimension is reduced, and only what is left of them goes to
-    ``smith_invariants``.  Bounded like the GF(2) path by the simplex budget
-    and the deadline, except for the dense-core limit of
-    ``smith_invariants``, which raises BudgetError.
+    the dense Smith normal form.  Bounded like the GF(2) path by the simplex
+    budget and the deadline, except for the dense-core limit
+    ``_DENSE_CORE_LIMIT``, which raises BudgetError.
     """
     return _coboundary_profile(graph, max_dim, 0, deadline, budget)
 

@@ -196,6 +196,8 @@ class GoldenRow:
         # build_space needs only n for these two kinds.
         if self.space not in ("cycle", "torus"):
             raise ValueError(f"space must be 'cycle' or 'torus', got {self.space!r}")
+        if self.n < 3:
+            raise ValueError(f"n must be at least 3, got {self.n}")
 
     def expected_betti(self) -> tuple[int, ...]:
         return tuple(

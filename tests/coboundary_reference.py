@@ -1,6 +1,6 @@
 """The layer-by-layer coboundary reducer, kept as the tests' reference.
 
-It streams whole clique layers from ``iter_layers`` and reduces every
+It takes whole clique layers from ``clique_layers`` and reduces every
 uncleared column of each layer against a pivot map that records a column
 whose low row is still free by its key alone, building it only when a later
 column reduces against it.  The library reads the apparent pairs off the
@@ -13,9 +13,28 @@ from __future__ import annotations
 import time
 from itertools import islice
 
-from torus_rips.complexes import _DEADLINE_CHUNK, euler_characteristic, iter_layers
+from torus_rips.complexes import _DEADLINE_CHUNK, enumerate_simplices, euler_characteristic
 from torus_rips.errors import BudgetError
 from torus_rips.homology import BettiProfile, _common_neighbours, _signed_column, smith_invariants
+
+
+def clique_layers(graph, max_dim=None):
+    """(keys, cands) of each clique layer through max_dim, None for every one.
+
+    The keys are those of ``enumerate_simplices``; the cand of a key, its
+    extension mask, is recomputed as the common neighbours of its vertices
+    above its top vertex.
+    """
+    cx = enumerate_simplices(graph, graph.vertex_count - 1 if max_dim is None else max_dim,
+                             budget=None)
+    layers = []
+    for keys in cx.keys:
+        cands = []
+        for key in keys:
+            top = key.bit_length()
+            cands.append(_common_neighbours(graph.masks, key) >> top << top)
+        layers.append((keys, cands))
+    return layers
 
 
 def _eliminate(col, low, pivots, masks, modulus):
@@ -113,14 +132,14 @@ def reaches_two_up(masks, cands):
     return False
 
 
-def reference_profile(graph, max_dim, ring, budget=None):
+def reference_profile(graph, max_dim, ring):
     """The Betti profile of the clique complex through max_dim, layer by layer."""
     modulus = 2 if ring == "gf2" else 0
     masks = graph.masks
     counts, ranks, torsion, pivots = [], [0], [], {}
     complete = True
     top = None if max_dim is None else max_dim + 1
-    for d, (keys, cands) in enumerate(iter_layers(graph, top, budget)):
+    for d, (keys, cands) in enumerate(clique_layers(graph, top)):
         counts.append(len(keys))
         rank, factors, pivots = coboundary_invariants(
             masks, keys, cands, pivots, modulus

@@ -248,7 +248,7 @@ def test_criterion_7_structural_property_battery():
         assert cx.complete
         profile = tr.betti_gf2(cx.graph, cx.top_dim)
         alternating = sum(b if d % 2 == 0 else -b for d, b in enumerate(profile.betti))
-        assert alternating == tr.euler_characteristic(cx) == profile.euler
+        assert alternating == tr.euler_characteristic(cx.counts) == profile.euler
 
     # GF(2) and integer Betti numbers agree wherever torsion is absent.
     for space, k, depth in [

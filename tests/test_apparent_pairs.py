@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torus_rips as tr
-from coboundary_reference import coboundary_invariants, reference_profile
-from torus_rips.complexes import collapse_edges, iter_layers
+from coboundary_reference import clique_layers, coboundary_invariants, reference_profile
+from torus_rips.complexes import collapse_edges
 from torus_rips.homology import _common_neighbours, _PivotMap, _signed_column
 
 
@@ -81,7 +81,7 @@ def test_reference_pivots_obey_both_facts(graph, modulus):
     #    it, so no column with a nonzero cand is ever cleared.
     masks = graph.masks
     pivots = {}
-    for keys, cands in iter_layers(graph, budget=None):
+    for keys, cands in clique_layers(graph):
         cleared = pivots
         _, _, pivots = coboundary_invariants(masks, keys, cands, cleared, modulus)
         for row in pivots:
@@ -99,15 +99,17 @@ def test_reference_pivots_obey_both_facts(graph, modulus):
 def test_pivot_map_resolves_exactly_the_apparent_rows(graph):
     # A row is apparent iff it is the last child of a simplex with an
     # extension; its pivot is that simplex's column, +1 at the row.
-    layers = list(iter_layers(graph, budget=None))
+    layers = clique_layers(graph)
     apparent = {key | top_bit(cand) for keys, cands in layers
                 for key, cand in zip(keys, cands) if cand}
     pivots = _PivotMap(graph.masks)
     for keys, _ in layers[1:]:
         for row in keys:
             assert (row in pivots) == (row in apparent)
+            column = pivots.get(row)
             if row in apparent:
-                column = pivots[row]
                 assert column == unit_column(graph.masks, row ^ top_bit(row))
                 assert max(column) == row and column[row] == 1
+            else:
+                assert column is None
     assert not len(pivots)

@@ -353,6 +353,13 @@ class TestVerifyTableCommand:
         assert (code, out) == (2, "")
         assert "9 > 3" in err
 
+    @pytest.mark.parametrize("flag", ["--n", "--k"])
+    @pytest.mark.parametrize("text", ["a", "1:2:3"])
+    def test_malformed_range_is_rejected(self, capsys, flag, text):
+        code, out, err = run_cli(capsys, "verify-table", flag, text)
+        assert (code, out) == (2, "")
+        assert f"range must be an integer or look like '3:9', got {text!r}" in err
+
     def test_text_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify-table", "--n", "3")
         assert code == 0
@@ -458,13 +465,18 @@ class TestVerifyTableCommand:
             ('{"rows": [' + json.dumps(GOLDEN_ROW) + ', {"space": "torus", "n": 3, "k": 1, '
              '"max_dim": 1, "expected": {"1": 4, "1": 4}, "source": "unit test"}]}',
              ["row 1", "expected dimension 1 is given twice"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "n": 2}]}),
+             ["row 1", "n must be at least 3, got 2"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "space": "cycle", "n": 2}]}),
+             ["row 0", "n must be at least 3, got 2"]),
         ],
         ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json",
              "n-as-string", "max-dim-as-string", "expected-key-not-dimension",
              "betti-as-string", "negative-max-dim", "unknown-ring",
              "unknown-space", "window-space", "expected-dim-above-max-dim",
              "negative-expected-dim", "skip-as-string", "skip-without-reason",
-             "expected-dim-spelled-twice", "expected-key-written-twice"],
+             "expected-dim-spelled-twice", "expected-key-written-twice",
+             "torus-side-below-three", "cycle-length-below-three"],
     )
     def test_malformed_golden_table_is_validation_error(
         self, capsys, tmp_path, text, fragments

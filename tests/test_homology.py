@@ -12,6 +12,7 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import torus_rips as tr
+from coboundary_reference import clique_layers
 from torus_rips.complexes import iter_bits
 from torus_rips.errors import BudgetError, SimplexBudgetError
 from torus_rips.homology import (
@@ -142,17 +143,17 @@ def graph_space(graph):
 
 
 @pytest.fixture
-def smith_calls(monkeypatch):
-    """Column count of each call the library makes to smith_invariants."""
-    calls = []
-    smith = tr.homology.smith_invariants
+def dense_cores(monkeypatch):
+    """(rows, columns) of each dense Smith core the library diagonalises."""
+    cores = []
+    dense = tr.homology._dense_snf_diagonal
 
-    def spy(n_rows, columns, deadline=None):
-        calls.append(len(columns))
-        return smith(n_rows, columns, deadline)
+    def spy(m, deadline=None):
+        cores.append((len(m), len(m[0])))
+        return dense(m, deadline)
 
-    monkeypatch.setattr(tr.homology, "smith_invariants", spy)
-    return calls
+    monkeypatch.setattr(tr.homology, "_dense_snf_diagonal", spy)
+    return cores
 
 
 @pytest.fixture
@@ -309,7 +310,7 @@ class TestBettiGf2:
             alternating = sum(
                 b if d % 2 == 0 else -b for d, b in enumerate(profile.betti)
             )
-            assert alternating == tr.euler_characteristic(cx) == profile.euler
+            assert alternating == tr.euler_characteristic(cx.counts) == profile.euler
 
     def test_random_graphs_match_dense_oracle(self):
         rng = random.Random(20240817)
@@ -357,7 +358,7 @@ class TestBettiGf2:
         with pytest.raises(BudgetError, match=r"GF\(2\) reduction of dimension 3 at dead end [1-9]"):
             tr.betti_gf2(graph, 3, deadline=readings - 0.5)
 
-    def test_projective_plane_reduces_mod_two(self, smith_calls):
+    def test_projective_plane_reduces_mod_two(self, dense_cores):
         # H_1 = Z/2 makes betti 1 in dimensions 1 and 2 over GF(2).  Exact
         # integer operations without the mod-2 step would lose both, and no
         # GF(2) dimension may reach the integer Smith normal form.
@@ -366,7 +367,7 @@ class TestBettiGf2:
         profile = tr.betti_gf2(cx.graph, 2)
         assert profile.betti == (1, 1, 1) == homology_direction_betti(cx, 2)
         assert profile.torsion == ((), (), ())
-        assert not smith_calls
+        assert not dense_cores
 
     def test_component_count_on_torus_scales(self):
         for n, k in [(4, 0), (6, 1), (5, 2)]:
@@ -535,7 +536,7 @@ class TestHomologyInteger:
             assert all(t == () for t in b.torsion)
             assert a.betti == b.betti
 
-    def test_smith_fallback_limits(self, monkeypatch, smith_calls):
+    def test_smith_fallback_limits(self, monkeypatch, dense_cores):
         # The dense Smith core is refused before it is allocated when it
         # would hold more than _DENSE_CORE_LIMIT entries.
         graph = projective_plane_subdivision()
@@ -543,12 +544,12 @@ class TestHomologyInteger:
         monkeypatch.setattr(tr.homology, "_DENSE_CORE_LIMIT", 0)
         with pytest.raises(BudgetError, match=r"dense Smith normal form core of 1 x 1"):
             tr.homology_integer(cx.graph, 2)
-        assert smith_calls == [1]
+        assert dense_cores == []
 
-    def test_projective_plane_subdivision_torsion(self, smith_calls):
+    def test_projective_plane_subdivision_torsion(self, dense_cores):
         # H_1 = Z/2 has an invariant factor 2, which no reduction on unit
         # pivots alone can produce: the one residual column of dimension 1,
-        # and no other, must reach smith_invariants.
+        # and no other, must reach the dense Smith core, on one row.
         graph = projective_plane_subdivision()
         cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
         assert cx.complete and cx.counts == (31, 90, 60)
@@ -556,14 +557,14 @@ class TestHomologyInteger:
         assert profile.betti == (1, 0, 0)
         assert profile.torsion == ((), (2,), ())
         assert profile.euler == 1
-        assert smith_calls == [1]
+        assert dense_cores == [(1, 1)]
         assert (profile.betti, profile.torsion) == homology_direction_integer(cx, 2)
 
         config = tr.RunConfig(coefficients="integer")
         via_pipeline, _ = tr.compute_profile(graph_space(graph), 1, config)
         assert via_pipeline == profile
 
-    def test_projective_plane_suspension_torsion(self, smith_calls):
+    def test_projective_plane_suspension_torsion(self, dense_cores):
         # Suspension moves Z/2 up to H_2.  Dimension 1 is torsion-free, and
         # all its unit pivots clear dimension 2 before that dimension meets
         # its non-unit entry.
@@ -573,25 +574,16 @@ class TestHomologyInteger:
         profile = tr.homology_integer(cx.graph, 3)
         assert profile.betti == (1, 0, 0, 0)
         assert profile.torsion == ((), (), (2,), ())
-        assert smith_calls == [1]
+        assert dense_cores == [(1, 1)]
 
-    def test_torus_13_scale_5_torsion(self, monkeypatch, smith_calls):
+    def test_torus_13_scale_5_torsion(self, dense_cores):
         # The first torus with torsion: H_3 = Z^3 + (Z/2)^24.  Its 24 factors
         # of 2 come out of one dense finish on 25 residual columns of 117 rows.
-        cores = []
-        dense = tr.homology._dense_snf_diagonal
-
-        def spy(m, deadline=None):
-            cores.append((len(m), len(m[0])))
-            return dense(m, deadline)
-
-        monkeypatch.setattr(tr.homology, "_dense_snf_diagonal", spy)
         config = tr.RunConfig(coefficients="integer", max_dim=4)
         profile, _ = tr.compute_profile(tr.torus_space(13), 5, config)
         assert profile.betti == (1, 0, 0, 3, 2)
         assert profile.torsion == ((), (), (), (2,) * 24, ())
-        assert smith_calls == [25]
-        assert cores == [(117, 25)]
+        assert dense_cores == [(117, 25)]
 
     @pytest.mark.parametrize(
         "graph",
@@ -612,7 +604,29 @@ class TestHomologyInteger:
             matrix = Matrix(cx.counts[d - 1], len(columns), lambda i, j: columns[j].get(i, 0))
             assert smith_invariants(cx.counts[d - 1], columns) == sympy_invariants(matrix)
 
-    def test_residual_is_finished_on_pivot_rows(self, smith_calls):
+    def test_each_uncleared_dead_end_is_filed_once(self, monkeypatch):
+        # The residual column of dimension 1 is finished in place and goes
+        # straight to the dense core: _add_column sees each uncleared dead
+        # end once and no column twice.
+        uncleared, filed = [], []
+        dead_end_invariants = tr.homology._dead_end_invariants
+        add_column = tr.homology._add_column
+
+        def count_uncleared(masks, dead_ends, cleared_rows, *args):
+            uncleared.append(sum(key not in cleared_rows for key in dead_ends))
+            return dead_end_invariants(masks, dead_ends, cleared_rows, *args)
+
+        def count_filed(col, *args):
+            filed.append(col)
+            return add_column(col, *args)
+
+        monkeypatch.setattr(tr.homology, "_dead_end_invariants", count_uncleared)
+        monkeypatch.setattr(tr.homology, "_add_column", count_filed)
+        profile = tr.homology_integer(projective_plane_subdivision(), 2)
+        assert profile.torsion == ((), (2,), ())
+        assert len(filed) == sum(uncleared) == 40
+
+    def test_residual_is_finished_on_pivot_rows(self, dense_cores):
         # With the midpoint chord the residual column of dimension 1 has odd
         # entries in unit pivot rows: alone it has no factor 2, and only
         # once reduced against those pivots does it keep the torsion.
@@ -621,8 +635,8 @@ class TestHomologyInteger:
         assert cx.complete and cx.counts == (31, 91, 61)
         profile = tr.homology_integer(cx.graph, 2)
         assert (profile.betti, profile.torsion) == ((1, 0, 0), ((), (2,), ()))
+        assert dense_cores == [(1, 1)]
         assert (profile.betti, profile.torsion) == homology_direction_integer(cx, 2)
-        assert smith_calls == [1]
 
     @given(
         st.one_of(
@@ -648,11 +662,11 @@ class TestHomologyInteger:
             tr.homology_integer(graph, 3, deadline=readings - 0.5)
 
     def test_deadline_checked_in_residual_finish(self, monkeypatch, reducer_clock):
-        # With the Smith normal form stubbed out, the last reading of the
-        # clock is the one before the residual column is finished: the
+        # With the dense Smith normal form stubbed out, the last reading of
+        # the clock is the one before the residual column is finished: the
         # triangles have no coboundary, and nothing lies above them to probe.
         graph = projective_plane_subdivision()
-        monkeypatch.setattr(tr.homology, "smith_invariants", lambda *args: (1, (2,)))
+        monkeypatch.setattr(tr.homology, "_dense_snf_diagonal", lambda m, deadline: [2])
         tr.homology_integer(graph, 2, deadline=float("inf"))
         readings = reducer_clock.ticks
         reducer_clock.ticks = 0
@@ -751,10 +765,12 @@ def test_stream_matches_enumerated_reference(case):
         profile = tr.homology_integer(graph, max_dim)
         betti, torsion = homology_direction_integer(cx, max_dim)
     ends = cx.top_dim <= max_dim + 1
+    # Enumerated two up, a complex that ends within one of max_dim is complete.
+    assert cx.complete or not ends
     assert (profile.betti, profile.torsion, profile.euler, profile.truncated_at) == (
         betti,
         torsion,
-        tr.euler_characteristic(cx) if ends else None,
+        tr.euler_characteristic(cx.counts) if ends else None,
         None if cx.top_dim <= max_dim else max_dim,
     )
     assert profile.counts == cx.counts[: max_dim + 2]
@@ -816,7 +832,7 @@ def test_cases_include_columns_without_extensions():
     ):
         assert any(
             cand == 0 and _common_neighbours(graph.masks, key)
-            for keys, cands in tr.complexes.iter_layers(graph)
+            for keys, cands in clique_layers(graph)
             for key, cand in zip(keys, cands)
         )
 
