@@ -28,8 +28,8 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
-# Parents extended, edges visited or dead-end columns drawn between two readings
-# of the deadline clock.
+# Scale-graph rows, parents extended, edges visited or dead-end columns drawn
+# between two readings of the deadline clock.
 _DEADLINE_CHUNK = 4096
 
 # Farthest-point landmarks whose distance rows filter the pairs of vr_graph.
@@ -84,7 +84,12 @@ class Graph:
         return all(m.bit_count() == full for m in self.masks)
 
 
-def vr_graph(space: FiniteMetricSpace, k: int) -> Graph:
+def _check_graph_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetError("time budget exceeded while building the scale graph")
+
+
+def vr_graph(space: FiniteMetricSpace, k: int, deadline: float | None = None) -> Graph:
     """Scale-k graph of a finite metric space: edge iff 0 < distance <= k.
 
     Most pairs are settled by the triangle inequality through four
@@ -95,7 +100,9 @@ def vr_graph(space: FiniteMetricSpace, k: int) -> Graph:
     distance to each landmark into prefix bitmasks turns both tests into one
     AND or OR of prefix windows per landmark; only pairs that pass every
     window and no sum test are measured.  The result is exact for any space
-    satisfying the axioms of :class:`FiniteMetricSpace`.
+    satisfying the axioms of :class:`FiniteMetricSpace`.  The deadline, a
+    time.monotonic() value, is read before each landmark row and every 4096
+    vertex rows.
     """
     if k < 0:
         raise ValueError(f"scale must be nonnegative, got {k}")
@@ -108,6 +115,7 @@ def vr_graph(space: FiniteMetricSpace, k: int) -> Graph:
     nearest: list[int] = []
     centre = 0
     for _ in range(_LANDMARKS):
+        _check_graph_deadline(deadline)
         row = [dist(centre, v) for v in range(n)]
         prefix = [0] * (max(row) + 1)
         for v, d in enumerate(row):
@@ -123,6 +131,8 @@ def vr_graph(space: FiniteMetricSpace, k: int) -> Graph:
 
     masks = [0] * n
     for u in range(n):
+        if u % _DEADLINE_CHUNK == 0:
+            _check_graph_deadline(deadline)
         possible = -1
         certain = 0
         for row, prefix in landmarks:

@@ -21,13 +21,13 @@ the pivots found by reducing the dead ends, the other columns.
 vertex subtree at a time; each dimension's dead ends are then reduced
 against a pivot map that holds the explicit pivots and resolves the apparent
 rows from the graph's adjacency bitmasks on demand.  No tuple, boundary
-matrix, face index or whole clique layer is built.  One routine, ``_reduce``,
-does the elimination: over the integers a reduced column whose low entry is
-not +/-1 is set aside, and once every column is filed, the set-aside columns
-are reduced on the pivots' rows and what is left of them is diagonalised
-densely.  ``smith_invariants`` is the same routine behind a front end that
-checks its rows.  All arithmetic is on Python ints, so overflow cannot occur
-and torsion is read off the invariant factors.
+matrix, face index or whole clique layer is built.  One walk, ``_free_rows``,
+does every elimination, popping a column's rows from a max-heap, largest
+first, with one pivot lookup each.  Over the integers a reduced column
+whose low entry is not +/-1 is set aside; once every column is filed, the
+walk runs each set-aside column to its end and the rest is diagonalised
+densely.  ``smith_invariants`` is the same reducer behind a front end that
+checks its rows.  Python ints cannot overflow; torsion is read off exactly.
 
 Both rings are bounded in size only by the simplex budget and in time by the
 deadline; live memory is one vertex subtree, the dead ends and the explicit
@@ -41,6 +41,7 @@ the library does not call them, and the tests use them as the reference.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -305,69 +306,73 @@ class _PivotMap(dict):
 
     Row r is the low of an apparent pair iff the face p = r minus its top
     vertex t has no common neighbour above t: the column of p then has r as
-    its largest row, and no earlier column meets r.  Such a row is in the
-    map, and its pivot is the coboundary column of p, built from the masks
-    on each lookup and scaled to +1 at r.  Only explicit columns are stored
-    and counted by ``len``.
+    its largest row, and no earlier column meets r.  ``get`` builds it from
+    the masks on each lookup, scaled to +1 at r.  Only explicit columns are
+    stored and counted by ``len``.
     """
 
     def __init__(self, masks: Sequence[int]) -> None:
         super().__init__()
         self.masks = masks
 
-    def _apparent_face(self, row: int) -> tuple[int, int] | None:
-        """(p, common neighbours of p) when row is an apparent row, else None."""
-        top = row.bit_length() - 1
-        face = row ^ (1 << top)
-        common = _common_neighbours(self.masks, face)
-        return (face, common) if common >> top == 1 else None
-
-    def __contains__(self, row: object) -> bool:
-        return dict.__contains__(self, row) or self._apparent_face(row) is not None
-
     def get(self, row: int) -> dict[int, int] | None:
         """The explicit or apparent pivot column of row, or None when it has none."""
         column = dict.get(self, row)
         if column is not None:
             return column
-        face = self._apparent_face(row)
-        if face is None:
+        top = row.bit_length() - 1
+        face = row ^ (1 << top)
+        common = _common_neighbours(self.masks, face)
+        if common >> top != 1:
             return None
-        column = _signed_column(*face)
+        column = _signed_column(face, common)
         if column[row] == -1:
             for r in column:
                 column[r] = -column[r]
         return column
 
 
-def _eliminate(col: dict[int, int], low: int, other: dict[int, int], modulus: int) -> None:
-    """Clear row low of col in place with other, a pivot column +1 at low."""
-    a = col[low]
-    for r, v in other.items():
-        nv = col.get(r, 0) - a * v
-        if modulus:
-            nv %= modulus
-        if nv:
-            col[r] = nv
-        else:
-            del col[r]
+def _free_rows(col: dict[int, int], pivots: dict, modulus: int) -> Iterator[int]:
+    """Yield the rows of col with no pivot, largest first, clearing the others in place.
+
+    Rows pop from a max-heap, each looked up once.  Clearing row r with its
+    pivot (+1 at r, zero above) pushes only the rows it adds, all below r, so
+    a row that left col and came back pops twice in a row, the second time skipped.
+    """
+    heap, last = [-r for r in col], None
+    heapq.heapify(heap)
+    while heap:
+        row = -heapq.heappop(heap)
+        if row == last or row not in col:
+            continue
+        last = row
+        if (other := pivots.get(row)) is None:
+            yield row
+            continue
+        a = col[row]
+        for r, v in other.items():
+            old = col.get(r)
+            nv = (old or 0) - a * v
+            if modulus:
+                nv %= modulus
+            if nv:
+                if old is None:
+                    heapq.heappush(heap, -r)
+                col[r] = nv
+            else:
+                del col[r]
 
 
 def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]],
                 modulus: int) -> None:
-    """Reduce col in place on the unit lows of pivots, then file it.
+    """Reduce col in place down to its first free row, its low, then file it.
 
     It becomes the pivot of its low row, scaled so the low entry is +1, when
     that entry is +/-1; a column whose low entry is not a unit, which only
     happens over the integers, is appended to residual; a zero column goes.
     """
-    while col:
-        low = max(col)
-        other = pivots.get(low)
-        if other is None:
-            break
-        _eliminate(col, low, other, modulus)
-    if not col:
+    low = next(_free_rows(col, pivots, modulus), None)
+    if low is None:
         return
     a = col[low]
     if a == -1:
@@ -384,16 +389,16 @@ def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
     """Rank and invariant factors > 1 of the columns, filed into pivots as they are reduced.
 
     Each column is filed by ``_add_column``, entries taken mod ``modulus``
-    when it is nonzero and kept exact when it is 0.  Each residual column is
-    then reduced on every pivot row it meets, largest first, with the
-    deadline read before each.  Every unit pivot so splits off an invariant
-    factor of 1: on the pivot rows the pivots form a triangular matrix with
-    unit diagonal, so row operations from those rows clear the pivots' other
-    entries and leave the residual columns, zero there, alone.  The rank is
-    the number of explicit pivots plus the rank of the residual core on the
-    other rows, and the invariant factors are the core's, from a dense Smith
-    normal form refused with BudgetError when it would hold more than
-    ``_DENSE_CORE_LIMIT`` entries.
+    when it is nonzero and kept exact when it is 0.  ``_free_rows`` then
+    walks each residual column to its end, clearing every pivot row it
+    meets, with the deadline read before each column.  Every unit pivot so
+    splits off an invariant factor of 1: on the pivot rows the pivots form a
+    triangular matrix with unit diagonal, so row operations from those rows
+    clear the pivots' other entries and leave the residual columns, zero
+    there, alone.  The rank is the number of explicit pivots plus the rank
+    of the residual core on the other rows, and the invariant factors are
+    the core's, from a dense Smith normal form refused with BudgetError when
+    it would hold more than ``_DENSE_CORE_LIMIT`` entries.
     """
     residual: list[dict[int, int]] = []
     for col in columns:
@@ -403,8 +408,8 @@ def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
     for i, col in enumerate(residual):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
-        while (low := max((r for r in col if r in pivots), default=None)) is not None:
-            _eliminate(col, low, pivots.get(low), 0)
+        for _ in _free_rows(col, pivots, modulus):
+            pass
 
     live_rows = sorted(set().union(*residual))
     entries = len(live_rows) * len(residual)

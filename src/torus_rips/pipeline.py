@@ -93,15 +93,17 @@ def compute_profile(
     enumeration; otherwise ``collapse_edges`` removes the dominated edges and
     the requested coefficient pipeline streams the collapsed complex through
     one dimension above max_dim (or to completion when max_dim is None).  The
+    deadline, when not given, is read from ``config`` before anything else, so
+    it bounds every stage, the build of the scale graph included.  The
     collapse keeps Betti numbers and torsion; ``euler``, ``truncated_at``, the
     length of a full-depth ``betti`` and the returned simplex counts per
     dimension (the counted top layer included, None for a complete graph)
     describe the collapsed complex.  Returns the profile and those counts.
     """
-    if graph is None:
-        graph = vr_graph(space, k)
     if deadline is None:
         deadline = config.deadline()
+    if graph is None:
+        graph = vr_graph(space, k, deadline)
     max_dim = config.max_dim
     if graph.is_complete():
         betti = (1,) + (0,) * (max_dim or 0)
@@ -144,7 +146,7 @@ def certify_torus(
     if not 0 <= k:
         raise ValueError(f"scale must be nonnegative, got {k}")
     deadline = config.deadline()
-    graph = vr_graph(space, k)
+    graph = vr_graph(space, k, deadline)
     antipode = antipode_check(graph)
     conn = connectivity_bound(graph, k, max_k=1)
 

@@ -5,7 +5,9 @@ uncleared column of each layer against a pivot map that records a column
 whose low row is still free by its key alone, building it only when a later
 column reduces against it.  The library reads the apparent pairs off the
 clique tree instead and reduces only the dead-end columns; both must give
-the same ``BettiProfile``.
+the same ``BettiProfile``.  Its eliminations rescan the column with ``max``
+after every step, the slow path of the library's heap-ordered walk
+``homology._free_rows``.
 """
 
 from __future__ import annotations
@@ -56,14 +58,23 @@ def _eliminate(col, low, pivots, masks, modulus):
             del col[r]
 
 
-def _add_column(col, pivots, residual, masks, modulus):
-    """Reduce col on the unit lows of pivots, then file it as a pivot, a residual or nothing."""
+def rescan_low(col, pivots, masks, modulus):
+    """Reduce col on the unit lows of pivots, rescanning it for its largest row after each step.
+
+    Returns the largest row left, which has no pivot, or None once col is zero.
+    """
     while col:
         low = max(col)
         if low not in pivots:
-            break
+            return low
         _eliminate(col, low, pivots, masks, modulus)
-    if not col:
+    return None
+
+
+def _add_column(col, pivots, residual, masks, modulus):
+    """Reduce col on the unit lows of pivots, then file it as a pivot, a residual or nothing."""
+    low = rescan_low(col, pivots, masks, modulus)
+    if low is None:
         return
     a = col[low]
     if a == -1:
@@ -75,13 +86,13 @@ def _add_column(col, pivots, residual, masks, modulus):
     pivots[low] = col
 
 
-def _finish_residual(residual, pivots, masks, deadline):
-    """Reduce each residual column on every pivot row it meets, largest first."""
+def finish_residual(residual, pivots, masks, modulus, deadline=None):
+    """Reduce each residual column on every pivot row it meets, largest first, by rescans."""
     for i, col in enumerate(residual):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
         while (low := max((r for r in col if r in pivots), default=None)) is not None:
-            _eliminate(col, low, pivots, masks, 0)
+            _eliminate(col, low, pivots, masks, modulus)
 
 
 def coboundary_invariants(masks, keys, cands, cleared_rows, modulus, deadline=None):
@@ -114,7 +125,7 @@ def coboundary_invariants(masks, keys, cands, cleared_rows, modulus, deadline=No
 
     if not residual:
         return len(pivots), (), pivots
-    _finish_residual(residual, pivots, masks, deadline)
+    finish_residual(residual, pivots, masks, modulus, deadline)
     rows = {r: i for i, r in enumerate(sorted(set().union(*residual)))}
     core = [{rows[r]: v for r, v in col.items()} for col in residual]
     rank, factors = smith_invariants(len(rows), core, deadline)

@@ -10,13 +10,16 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torus_rips as tr
-from coboundary_reference import clique_layers, coboundary_invariants, reference_profile
+from coboundary_reference import _add_column as reference_add_column
+from coboundary_reference import (clique_layers, coboundary_invariants, finish_residual,
+                                  reference_profile, rescan_low)
 from torus_rips.complexes import collapse_edges
-from torus_rips.homology import _common_neighbours, _PivotMap, _signed_column
+from torus_rips.homology import (_add_column, _common_neighbours, _free_rows, _PivotMap,
+                                 _signed_column)
 
 
 def relabelled(graph, seed):
@@ -105,7 +108,6 @@ def test_pivot_map_resolves_exactly_the_apparent_rows(graph):
     pivots = _PivotMap(graph.masks)
     for keys, _ in layers[1:]:
         for row in keys:
-            assert (row in pivots) == (row in apparent)
             column = pivots.get(row)
             if row in apparent:
                 assert column == unit_column(graph.masks, row ^ top_bit(row))
@@ -113,3 +115,51 @@ def test_pivot_map_resolves_exactly_the_apparent_rows(graph):
             else:
                 assert column is None
     assert not len(pivots)
+
+
+@st.composite
+def pivots_and_columns(draw):
+    """(modulus, pivots, column): a unit-triangular pivot map, each column +1 at its low, and a sparse column.
+
+    Rows are drawn from a small range so that an elimination often cancels a
+    row of the column that a later one adds back.
+    """
+    modulus = draw(st.sampled_from([2, 0]))
+    values = st.just(1) if modulus else st.integers(min_value=-3, max_value=3).filter(bool)
+    pivots = {}
+    for low in sorted(draw(st.sets(st.integers(min_value=0, max_value=11)))):
+        below = draw(st.dictionaries(st.integers(min_value=0, max_value=max(low - 1, 0)), values,
+                                     max_size=4)) if low else {}
+        pivots[low] = {**below, low: 1}
+    column = draw(st.dictionaries(st.integers(min_value=0, max_value=11), values, max_size=6))
+    return modulus, pivots, column
+
+
+# Row 2 leaves the column with the pivot of row 5 and comes back with that of
+# row 4, so it sits in the heap twice; it is free in the first case and
+# cleared by the pivot of row 2 in the second.
+REENTRY = {5: {5: 1, 2: 1}, 4: {4: 1, 2: 1}}
+
+
+@given(pivots_and_columns())
+@example((2, REENTRY, {5: 1, 4: 1, 2: 1}))
+@example((0, {**REENTRY, 2: {2: 1, 0: -1}}, {5: 1, 4: -1, 2: 1, 1: 2}))
+@settings(deadline=None, max_examples=300)
+def test_walk_matches_the_max_rescans(case):
+    modulus, pivots, column = case
+    # Stopped at the first free row: the low and the column _add_column files.
+    walked, rescanned = dict(column), dict(column)
+    low = next(_free_rows(walked, pivots, modulus), None)
+    assert low == rescan_low(rescanned, pivots, None, modulus)
+    assert walked == rescanned
+    filed, reference_filed = [dict(pivots), []], [dict(pivots), []]
+    _add_column(dict(column), *filed, modulus)
+    reference_add_column(dict(column), *reference_filed, None, modulus)
+    assert filed == reference_filed
+    # Run to the end, as in the residual finish: every row yielded once, in
+    # descending order, and what is left are exactly those rows.
+    walked, rescanned = dict(column), dict(column)
+    free = list(_free_rows(walked, pivots, modulus))
+    finish_residual([rescanned], pivots, None, modulus)
+    assert walked == rescanned
+    assert free == sorted(rescanned, reverse=True)

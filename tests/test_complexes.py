@@ -187,6 +187,34 @@ class TestVrGraph:
         assert graph.edge_count() == n * 84 // 2  # a radius-6 L1 ball has 85 points
         assert calls[0] < n * (n - 1) // 4
 
+    def test_deadline_checked_within_the_rows(self, monkeypatch):
+        # A clock that ticks once per reading: the build reads it before each
+        # of its four landmark rows and every 4096 vertex rows, so it stops
+        # partway through the rows, not after the last one.
+        class Clock:
+            ticks = 0
+
+            def monotonic(self):
+                Clock.ticks += 1
+                return Clock.ticks
+
+        space = tr.torus_space(65)
+        n = space.point_count
+        assert n > 4096
+        monkeypatch.setattr(tr.complexes, "time", Clock())
+        tr.vr_graph(space, 1, deadline=float("inf"))
+        readings = Clock.ticks
+        assert readings == 4 + -(-n // 4096)
+        for late in (0.5, 1.5, 4.5, readings - 0.5):
+            Clock.ticks = 0
+            with pytest.raises(BudgetError,
+                               match="^time budget exceeded while building the scale graph$"):
+                tr.vr_graph(space, 1, deadline=late)
+            assert Clock.ticks == math.ceil(late)
+        Clock.ticks = 0
+        with pytest.raises(BudgetError, match="building the scale graph"):
+            tr.compute_profile(space, 1, tr.RunConfig(max_dim=1), deadline=0.5)
+
 
 def edge_set(graph):
     return {(u, v) for u in range(graph.vertex_count) for v in iter_bits(graph.masks[u]) if u < v}
@@ -301,7 +329,8 @@ class TestCollapseEdges:
                 collapse_edges(graph, deadline=readings - late)
         Clock.ticks = 0
         with pytest.raises(BudgetError, match="collapsing edges"):
-            tr.compute_profile(tr.torus_space(12), 4, tr.RunConfig(max_dim=2), deadline=0.5)
+            tr.compute_profile(tr.torus_space(12), 4, tr.RunConfig(max_dim=2), graph=graph,
+                               deadline=0.5)
 
 
 class TestEnumerateSimplices:
