@@ -28,7 +28,7 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
-# Scale-graph rows, parents extended, edges visited or dead-end columns drawn
+# Scale-graph rows, parents extended, edges visited or reducer columns drawn
 # between two readings of the deadline clock.
 _DEADLINE_CHUNK = 4096
 
@@ -84,9 +84,10 @@ class Graph:
         return all(m.bit_count() == full for m in self.masks)
 
 
-def _check_graph_deadline(deadline: float | None) -> None:
+def _check_deadline(deadline: float | None, doing: str) -> None:
+    """The module's one clock reading: raise BudgetError once a deadline has passed."""
     if deadline is not None and time.monotonic() > deadline:
-        raise BudgetError("time budget exceeded while building the scale graph")
+        raise BudgetError(f"time budget exceeded {doing}")
 
 
 def vr_graph(space: FiniteMetricSpace, k: int, deadline: float | None = None) -> Graph:
@@ -115,7 +116,7 @@ def vr_graph(space: FiniteMetricSpace, k: int, deadline: float | None = None) ->
     nearest: list[int] = []
     centre = 0
     for _ in range(_LANDMARKS):
-        _check_graph_deadline(deadline)
+        _check_deadline(deadline, "while building the scale graph")
         row = [dist(centre, v) for v in range(n)]
         prefix = [0] * (max(row) + 1)
         for v, d in enumerate(row):
@@ -132,7 +133,7 @@ def vr_graph(space: FiniteMetricSpace, k: int, deadline: float | None = None) ->
     masks = [0] * n
     for u in range(n):
         if u % _DEADLINE_CHUNK == 0:
-            _check_graph_deadline(deadline)
+            _check_deadline(deadline, "while building the scale graph")
         possible = -1
         certain = 0
         for row, prefix in landmarks:
@@ -188,9 +189,8 @@ def collapse_edges(graph: Graph, deadline: float | None = None) -> Graph:
             while row:
                 low = row & -row
                 row ^= low
-                if deadline is not None and visited % _DEADLINE_CHUNK == 0 \
-                        and time.monotonic() > deadline:
-                    raise BudgetError("time budget exceeded while collapsing edges")
+                if deadline is not None and visited % _DEADLINE_CHUNK == 0:
+                    _check_deadline(deadline, "while collapsing edges")
                 visited += 1
                 if not active & (bit | low):
                     continue
@@ -344,8 +344,7 @@ def scan_clique_tree(
                 # counted, but it is not kept.
                 live = above = 0
                 for _ in range(0, len(keys), _DEADLINE_CHUNK):
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+                    _check_deadline(deadline, f"while enumerating dimension {d}")
                     for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
                         while m:
                             low = m & -m
@@ -367,8 +366,7 @@ def scan_clique_tree(
             append_k = next_keys.append
             append_c = next_cands.append
             for _ in range(0, len(keys), _DEADLINE_CHUNK):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+                _check_deadline(deadline, f"while enumerating dimension {d}")
                 for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
                     while m:
                         low = m & -m
@@ -436,8 +434,7 @@ def enumerate_simplices(
         append_c = next_cands.append
         pairs = zip(keys, cands)
         for _ in range(0, len(keys), _DEADLINE_CHUNK):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError(f"time budget exceeded while enumerating dimension {d}")
+            _check_deadline(deadline, f"while enumerating dimension {d}")
             for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
                 while m:
                     low = m & -m

@@ -18,16 +18,23 @@ coface key as pivot, almost no column needs arithmetic (Bauer, Ripser 2021):
 So the rank of δ_d is the number of d-simplices with a nonzero ``cand`` plus
 the pivots found by reducing the dead ends, the other columns.
 ``scan_clique_tree`` counts the complex and collects its dead ends one
-vertex subtree at a time; each dimension's dead ends are then reduced
-against a pivot map that holds the explicit pivots and resolves the apparent
-rows from the graph's adjacency bitmasks on demand.  No tuple, boundary
-matrix, face index or whole clique layer is built.  One walk, ``_free_rows``,
-does every elimination, popping a column's rows from a max-heap, largest
-first, with one pivot lookup each.  Over the integers a reduced column
-whose low entry is not +/-1 is set aside; once every column is filed, the
-walk runs each set-aside column to its end and the rest is diagonalised
-densely.  ``smith_invariants`` is the same reducer behind a front end that
-checks its rows.  Python ints cannot overflow; torsion is read off exactly.
+vertex subtree at a time; ``_coboundary_profile`` then builds each
+dimension's uncleared dead-end columns as they are drawn and ``_reduce``
+reduces them against a pivot map that holds the explicit pivots and resolves
+the apparent rows from the graph's adjacency bitmasks on demand.  No tuple,
+boundary matrix, face index or whole clique layer is built.  One walk,
+``_free_rows``, does every elimination, popping a column's rows from a
+max-heap, largest first, with one pivot lookup each.  Over the integers a
+reduced column whose low entry is not +/-1 is set aside; once every column
+is filed, the walk runs each set-aside column to its end and the rest is
+diagonalised densely.  ``smith_invariants`` is the same reducer behind a
+front end that checks its rows.  Python ints cannot overflow; torsion is
+read off exactly.
+
+The deadline is read by ``_reduce`` alone while columns are drawn: before
+column 0, every ``_DEADLINE_CHUNK`` columns after it and before each
+residual column, with the stage named in the BudgetError.  The dense Smith
+normal form reads it before each pivot.
 
 Both rings are bounded in size only by the simplex budget and in time by the
 deadline; live memory is one vertex subtree, the dead ends and the explicit
@@ -98,14 +105,15 @@ def gf2_rank(
     index) or vanishes.  Columns whose index is in ``skip`` are known in
     advance to reduce to zero (the clearing optimization) and are not
     touched.  ``columns`` may be a lazy sequence; the deadline is checked
-    every 4096 columns, cleared ones included, as they are drawn from it.
+    every ``_DEADLINE_CHUNK`` columns, cleared ones included, as they are
+    drawn from it.
     Nothing in the library calls it: ``betti_gf2`` runs the shared coboundary
     reducer mod 2.  It stays public API and an independent GF(2) reference.
     """
     pivots: dict[int, tuple[int, ...]] = {}
     rank = 0
     for j, col in enumerate(columns):
-        if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
+        if deadline is not None and j % _DEADLINE_CHUNK == 0 and time.monotonic() > deadline:
             raise BudgetError(f"time budget exceeded during GF(2) reduction at column {j}")
         if j in skip:
             continue
@@ -171,12 +179,13 @@ def smith_invariants(
     """Rank and nontrivial invariant factors of a sparse integer matrix.
 
     The front end of ``_reduce``, the coboundary reducer's elimination: it
-    drops zero entries, checks every row index against ``n_rows`` and reads
-    the deadline every 4096 columns as they are drawn.  ``_reduce`` files the
-    columns on the unit lows of a pivot map keyed by the largest row index,
-    finishes the residual columns on the pivot rows and hands what is left
-    of them to a dense textbook Smith normal form, refused with BudgetError
-    when it would hold more than ``_DENSE_CORE_LIMIT`` entries.
+    drops zero entries and checks every row index against ``n_rows``.
+    ``_reduce`` files the columns on the unit lows of a pivot map keyed by
+    the largest row index, finishes the residual columns on the pivot rows
+    and hands what is left of them to a dense textbook Smith normal form,
+    refused with BudgetError when it would hold more than
+    ``_DENSE_CORE_LIMIT`` entries.  It reads the deadline as it draws the
+    columns, under the stage name "integer elimination".
 
     Returns:
         (rank, factors) where factors are the invariant factors greater
@@ -184,16 +193,14 @@ def smith_invariants(
     """
 
     def checked() -> Iterator[dict[int, int]]:
-        for j, col in enumerate(columns):
-            if deadline is not None and j % 4096 == 0 and time.monotonic() > deadline:
-                raise BudgetError("time budget exceeded during integer elimination")
+        for col in columns:
             live = {r: v for r, v in col.items() if v}
             for r in live:
                 if not 0 <= r < n_rows:
                     raise ValueError(f"row index {r} out of range 0..{n_rows - 1}")
             yield live
 
-    return _reduce(checked(), {}, 0, deadline)
+    return _reduce(checked(), {}, 0, deadline, "integer elimination")
 
 
 def _dense_snf_diagonal(m: list[list[int]], deadline: float | None = None) -> list[int]:
@@ -385,29 +392,35 @@ def _add_column(col: dict[int, int], pivots: dict, residual: list[dict[int, int]
 
 
 def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
-            deadline: float | None) -> tuple[int, tuple[int, ...]]:
+            deadline: float | None, stage: str) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors > 1 of the columns, filed into pivots as they are reduced.
 
     Each column is filed by ``_add_column``, entries taken mod ``modulus``
     when it is nonzero and kept exact when it is 0.  ``_free_rows`` then
     walks each residual column to its end, clearing every pivot row it
-    meets, with the deadline read before each column.  Every unit pivot so
-    splits off an invariant factor of 1: on the pivot rows the pivots form a
-    triangular matrix with unit diagonal, so row operations from those rows
-    clear the pivots' other entries and leave the residual columns, zero
-    there, alone.  The rank is the number of explicit pivots plus the rank
-    of the residual core on the other rows, and the invariant factors are
-    the core's, from a dense Smith normal form refused with BudgetError when
-    it would hold more than ``_DENSE_CORE_LIMIT`` entries.
+    meets.  Every unit pivot so splits off an invariant factor of 1: on the
+    pivot rows the pivots form a triangular matrix with unit diagonal, so
+    row operations from those rows clear the pivots' other entries and leave
+    the residual columns, zero there, alone.  The rank is the number of
+    explicit pivots plus the rank of the residual core on the other rows,
+    and the invariant factors are the core's, from a dense Smith normal form
+    refused with BudgetError when it would hold more than
+    ``_DENSE_CORE_LIMIT`` entries.
+
+    This is the one reading of the deadline while columns are drawn: before
+    column 0 and every ``_DEADLINE_CHUNK`` columns after it, then before each
+    residual column; the BudgetError names ``stage`` and the column reached.
     """
     residual: list[dict[int, int]] = []
-    for col in columns:
+    for j, col in enumerate(columns):
+        if deadline is not None and j % _DEADLINE_CHUNK == 0 and time.monotonic() > deadline:
+            raise BudgetError(f"time budget exceeded during {stage} at column {j}")
         _add_column(col, pivots, residual, modulus)
     if not residual:
         return len(pivots), ()
     for i, col in enumerate(residual):
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during integer reduction at residual {i}")
+            raise BudgetError(f"time budget exceeded during {stage} at residual {i}")
         for _ in _free_rows(col, pivots, modulus):
             pass
 
@@ -427,37 +440,6 @@ def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
     return len(pivots) + len(factors), tuple(f for f in factors if f > 1)
 
 
-def _dead_end_invariants(
-    masks: Sequence[int], dead_ends: Sequence[int], cleared_rows: AbstractSet[int],
-    modulus: int, deadline: float | None, d: int,
-) -> tuple[int, tuple[int, ...], frozenset[int]]:
-    """Rank beyond the apparent pairs, and invariant factors > 1, of the coboundary of dimension d.
-
-    The columns are the dead ends of the layer not in ``cleared_rows``, in
-    lexicographic order, each built from the masks as it is drawn and
-    reduced by ``_reduce`` against a ``_PivotMap``.  Every other column needs
-    no arithmetic: one with a nonzero extension mask is an apparent pair,
-    and a last child is the row of its parent's apparent pair, so it is
-    cleared.  The deadline is read every 4096 dead ends, cleared ones
-    included, and as in ``_reduce``.  Also returns the explicit pivot rows,
-    which clear the dead ends one dimension up.
-    """
-    ring = "GF(2)" if modulus == 2 else "integer"
-
-    def columns() -> Iterator[dict[int, int]]:
-        for start in range(0, len(dead_ends), _DEADLINE_CHUNK):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError(f"time budget exceeded during {ring} reduction "
-                                  f"of dimension {d} at dead end {start}")
-            for key in dead_ends[start:start + _DEADLINE_CHUNK]:
-                if key not in cleared_rows:
-                    yield _signed_column(key, _common_neighbours(masks, key))
-
-    pivots = _PivotMap(masks)
-    rank, factors = _reduce(columns(), pivots, modulus, deadline)
-    return rank, factors, frozenset(pivots)
-
-
 def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
                         deadline: float | None, budget: int | None) -> BettiProfile:
     """Betti profile through max_dim from the coboundaries reduced mod ``modulus``.
@@ -466,16 +448,29 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
     non-unit low entry would reach the integer Smith normal form.  One scan
     of the clique tree counts the complex and collects its dead ends; then
     the rank of the coboundary of dimension d is the number of d-simplices
-    with an extension plus what the reduction of the dead ends adds.
+    with an extension plus what the reduction of the dead ends adds.  Every
+    other column needs no arithmetic: one with a nonzero extension mask is
+    an apparent pair, and a last child is the row of its parent's apparent
+    pair, so it is cleared.  The dead ends of dimension d not cleared by the
+    explicit pivot rows of dimension d - 1 are built from the masks, in
+    lexicographic order, as ``_reduce`` draws them, and reduced against a
+    ``_PivotMap``; ``_reduce`` reads the deadline.
     """
     scan = scan_clique_tree(graph, max_dim, budget, deadline)
     counts = list(scan.counts)
+    masks = graph.masks
+    ring = "GF(2)" if modulus else "integer"
     ranks, torsion, cleared = [0], [], frozenset()
     for d, (apparent, dead_ends) in enumerate(zip(scan.apparent, scan.dead_ends)):
+        rank, factors = 0, ()
         # With no layer above, the coboundary is zero.
-        rank, factors, cleared = _dead_end_invariants(
-            graph.masks, dead_ends, cleared, modulus, deadline, d
-        ) if d + 1 < len(counts) else (0, (), frozenset())
+        if d + 1 < len(counts):
+            pivots = _PivotMap(masks)
+            columns = (_signed_column(key, _common_neighbours(masks, key))
+                       for key in dead_ends if key not in cleared)
+            rank, factors = _reduce(columns, pivots, modulus, deadline,
+                                    f"{ring} reduction of dimension {d}")
+            cleared = frozenset(pivots)
         ranks.append(apparent + rank)
         torsion.append(factors)
 

@@ -347,15 +347,15 @@ class TestBettiGf2:
 
     def test_deadline_checked_within_a_dimension(self, monkeypatch, reducer_clock):
         # The run must stop partway through the dead ends of one dimension,
-        # not only between dimensions.  With the clock read every 16 dead
-        # ends, the last reading comes within those of dimension 3.
+        # not only between dimensions.  With the clock read every 16 columns
+        # drawn, the last reading comes within those of dimension 3.
         monkeypatch.setattr(tr.homology, "_DEADLINE_CHUNK", 16)
         graph = tr.vr_graph(tr.torus_space(7), 3)
         assert len(tr.complexes.scan_clique_tree(graph, 3).dead_ends[3]) > 16
         tr.betti_gf2(graph, 3, deadline=float("inf"))
         readings = reducer_clock.ticks
         reducer_clock.ticks = 0
-        with pytest.raises(BudgetError, match=r"GF\(2\) reduction of dimension 3 at dead end [1-9]"):
+        with pytest.raises(BudgetError, match=r"GF\(2\) reduction of dimension 3 at column [1-9]"):
             tr.betti_gf2(graph, 3, deadline=readings - 0.5)
 
     def test_projective_plane_reduces_mod_two(self, dense_cores):
@@ -447,6 +447,19 @@ class TestSmithInvariants:
         cols = columns_from_rows([[2, 4], [6, 8]])
         with pytest.raises(BudgetError):
             smith_invariants(2, cols, deadline=time.monotonic() - 1.0)
+
+    def test_deadline_checked_within_the_columns(self, monkeypatch, reducer_clock):
+        # Unit pivots on the diagonal leave no residual and no dense core, so
+        # every reading is one of the columns drawn: one per column with the
+        # clock read every column, and a deadline between two stops partway.
+        monkeypatch.setattr(tr.homology, "_DEADLINE_CHUNK", 1)
+        cols = [{j: 1} for j in range(8)]
+        assert smith_invariants(8, cols, deadline=float("inf")) == (8, ())
+        assert reducer_clock.ticks == 8
+        reducer_clock.ticks = 0
+        with pytest.raises(BudgetError, match=r"integer elimination at column [1-9]"):
+            smith_invariants(8, cols, deadline=3.5)
+        assert reducer_clock.ticks == 4
 
     @given(
         st.one_of(
@@ -627,18 +640,19 @@ class TestHomologyInteger:
         # straight to the dense core: _add_column sees each uncleared dead
         # end once and no column twice.
         uncleared, filed = [], []
-        dead_end_invariants = tr.homology._dead_end_invariants
+        reduce = tr.homology._reduce
         add_column = tr.homology._add_column
 
-        def count_uncleared(masks, dead_ends, cleared_rows, *args):
-            uncleared.append(sum(key not in cleared_rows for key in dead_ends))
-            return dead_end_invariants(masks, dead_ends, cleared_rows, *args)
+        def count_uncleared(columns, *args):
+            columns = list(columns)
+            uncleared.append(len(columns))
+            return reduce(columns, *args)
 
         def count_filed(col, *args):
             filed.append(col)
             return add_column(col, *args)
 
-        monkeypatch.setattr(tr.homology, "_dead_end_invariants", count_uncleared)
+        monkeypatch.setattr(tr.homology, "_reduce", count_uncleared)
         monkeypatch.setattr(tr.homology, "_add_column", count_filed)
         profile = tr.homology_integer(projective_plane_subdivision(), 2)
         assert profile.torsion == ((), (2,), ())
@@ -676,7 +690,7 @@ class TestHomologyInteger:
         tr.homology_integer(graph, 3, deadline=float("inf"))
         readings = reducer_clock.ticks
         reducer_clock.ticks = 0
-        with pytest.raises(BudgetError, match=r"integer reduction of dimension 3 at dead end [1-9]"):
+        with pytest.raises(BudgetError, match=r"integer reduction of dimension 3 at column [1-9]"):
             tr.homology_integer(graph, 3, deadline=readings - 0.5)
 
     def test_deadline_checked_in_residual_finish(self, monkeypatch, reducer_clock):
@@ -688,7 +702,7 @@ class TestHomologyInteger:
         tr.homology_integer(graph, 2, deadline=float("inf"))
         readings = reducer_clock.ticks
         reducer_clock.ticks = 0
-        with pytest.raises(BudgetError, match=r"integer reduction at residual 0"):
+        with pytest.raises(BudgetError, match=r"integer reduction of dimension 1 at residual 0"):
             tr.homology_integer(graph, 2, deadline=readings - 0.5)
 
 
@@ -723,13 +737,13 @@ def test_scan_counts_every_layer_before_any_reduction(monkeypatch):
     # One scan counts the layers through max_dim + 1 before the dead ends of
     # any dimension are reduced, so a refusal comes before any reduction.
     reduced = []
-    reduce = tr.homology._dead_end_invariants
+    reduce = tr.homology._reduce
 
-    def spy(masks, dead_ends, *args):
-        reduced.append(args[-1])
-        return reduce(masks, dead_ends, *args)
+    def spy(columns, pivots, modulus, deadline, stage):
+        reduced.append(int(stage.rsplit(" ", 1)[1]))
+        return reduce(columns, pivots, modulus, deadline, stage)
 
-    monkeypatch.setattr(tr.homology, "_dead_end_invariants", spy)
+    monkeypatch.setattr(tr.homology, "_reduce", spy)
     graph = tr.vr_graph(tr.torus_space(5), 2)
     for reducer in (tr.betti_gf2, tr.homology_integer):
         reduced.clear()
