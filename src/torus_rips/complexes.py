@@ -6,9 +6,11 @@ complex at scale k under the closed convention (a simplex is any vertex set
 of diameter at most k).  Neighbourhoods and simplices alike are stored as
 vertex bitmasks, bit v set iff v is in the set; vertex tuples are made only
 for listings.  ``collapse_edges`` drops dominated edges, keeping the homotopy
-type.  ``scan_clique_tree`` walks the complex one vertex subtree at a time and
-keeps only what the coboundary reducer needs: the counts per dimension, the
-number of simplices with an extension and the dead ends.
+type, and ``degeneracy_order`` relabels the vertices smallest-last, which
+keeps the clique subtrees small whatever the input's labels.
+``scan_clique_tree`` walks the complex one vertex subtree at a time and keeps
+only what the coboundary reducer needs: the counts per dimension, the number
+of simplices with an extension and the dead ends.
 ``enumerate_simplices`` builds whole layers, one from the other, and keeps
 them for listings and the tests.
 """
@@ -28,8 +30,8 @@ Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 50_000_000
 
-# Scale-graph rows, parents extended, edges visited or reducer columns drawn
-# between two readings of the deadline clock.
+# Scale-graph rows, edges visited, vertices ordered, parents extended or
+# reducer columns drawn between two readings of the deadline clock.
 _DEADLINE_CHUNK = 4096
 
 # Farthest-point landmarks whose distance rows filter the pairs of vr_graph.
@@ -208,6 +210,64 @@ def collapse_edges(graph: Graph, deadline: float | None = None) -> Graph:
                         break
                     left &= near
     return Graph(vertex_count=graph.vertex_count, masks=tuple(masks))
+
+
+def degeneracy_order(graph: Graph, deadline: float | None = None) -> Graph:
+    """The graph relabelled in smallest-last order (Matula & Beck, J. ACM 1983).
+
+    Vertices are removed one at a time, each of least degree among those
+    left, the lowest index first on a tie; the i-th removed becomes vertex i.
+    So no vertex has more higher neighbours than the graph's degeneracy,
+    which bounds the clique subtrees ``scan_clique_tree`` walks (Eppstein,
+    Löffler & Strash, ISAAC 2010).  A bucket queue holds one bitmask of the
+    vertices left per degree, so each removal and each edge costs a few mask
+    operations.  Each new mask first gathers the labels of the neighbours
+    removed before its vertex, and one pass over those lower bits adds the
+    higher ones.  The deadline is read every 4096 removals.
+    """
+    n = graph.vertex_count
+    masks = graph.masks
+    degree = [m.bit_count() for m in masks]
+    buckets = [0] * (max(degree) + 1)
+    for v, d in enumerate(degree):
+        buckets[d] |= 1 << v
+    # lower[v]: the new labels of v's neighbours removed so far, as a mask.
+    lower = [0] * n
+    ordered: list[int] = []
+    left = (1 << n) - 1
+    least = 0
+    for i in range(n):
+        if i % _DEADLINE_CHUNK == 0:
+            _check_deadline(deadline, "while ordering the vertices")
+        while not buckets[least]:
+            least += 1
+        bucket = buckets[least]
+        low = bucket & -bucket
+        buckets[least] = bucket ^ low
+        left ^= low
+        v = low.bit_length() - 1
+        ordered.append(lower[v])
+        label = 1 << i
+        row = masks[v] & left
+        while row:
+            bit = row & -row
+            row ^= bit
+            w = bit.bit_length() - 1
+            lower[w] |= label
+            d = degree[w]
+            degree[w] = d - 1
+            buckets[d] ^= bit
+            buckets[d - 1] |= bit
+        # A removal lowers a degree by at most one, so the least by at most one.
+        if least:
+            least -= 1
+    for j in range(n):
+        row, label = ordered[j], 1 << j
+        while row:
+            low = row & -row
+            row ^= low
+            ordered[low.bit_length() - 1] |= label
+    return Graph(vertex_count=n, masks=tuple(ordered))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ from .complexes import (
     DEFAULT_SIMPLEX_BUDGET,
     Graph,
     collapse_edges,
+    degeneracy_order,
     enumerate_simplices,  # noqa: F401
     euler_characteristic,
     vr_graph,
@@ -90,9 +91,11 @@ def compute_profile(
     """Build the scale-k graph of a space and compute its Betti profile.
 
     A complete scale graph short-circuits to the one-simplex profile without
-    enumeration; otherwise ``collapse_edges`` removes the dominated edges and
-    the requested coefficient pipeline streams the collapsed complex through
-    one dimension above max_dim (or to completion when max_dim is None).  The
+    enumeration; otherwise ``collapse_edges`` removes the dominated edges,
+    ``degeneracy_order`` relabels the collapsed graph smallest-last, and the
+    requested coefficient pipeline streams the complex through one dimension
+    above max_dim (or to completion when max_dim is None).  The order only
+    sets the cost of the scan and the reduction: no answer depends on it.  The
     deadline, when not given, is read from ``config`` before anything else, so
     it bounds every stage, the build of the scale graph included.  The
     collapse keeps Betti numbers and torsion; ``euler``, ``truncated_at``, the
@@ -116,7 +119,7 @@ def compute_profile(
         ), None
 
     reduce = betti_gf2 if config.coefficients == "gf2" else homology_integer
-    graph = collapse_edges(graph, deadline)
+    graph = degeneracy_order(collapse_edges(graph, deadline), deadline)
     profile = reduce(graph, max_dim, deadline=deadline, budget=config.simplex_budget)
     return profile, profile.counts
 

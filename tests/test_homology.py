@@ -591,17 +591,17 @@ class TestHomologyInteger:
 
     def test_torus_13_scale_5_torsion(self, dense_cores):
         # The first torus with torsion: H_3 = Z^3 + (Z/2)^24.  Its 24 factors
-        # of 2 come out of one dense finish on 25 residual columns of 117 rows.
+        # of 2 come out of one dense finish on 25 residual columns of 91 rows.
         config = tr.RunConfig(coefficients="integer", max_dim=4)
         profile, _ = tr.compute_profile(tr.torus_space(13), 5, config)
         assert profile.betti == (1, 0, 0, 3, 2)
         assert profile.torsion == ((), (), (), (2,) * 24, ())
-        assert dense_cores == [(117, 25)]
+        assert dense_cores == [(91, 25)]
 
     def test_torus_13_scale_5_looks_up_each_row_once(self, monkeypatch, dense_cores):
         # The walk looks each row up once as it pops.  Rescanning every
         # residual column for its rows with a pivot after each elimination
-        # built 408,062 common neighbourhoods here; the walk builds 12,689.
+        # built 408,062 common neighbourhoods here; the walk builds 13,161.
         calls = [0]
         common_neighbours = tr.homology._common_neighbours
 
@@ -613,7 +613,7 @@ class TestHomologyInteger:
         config = tr.RunConfig(coefficients="integer", max_dim=4)
         profile, _ = tr.compute_profile(tr.torus_space(13), 5, config)
         assert profile.torsion[3] == (2,) * 24
-        assert dense_cores == [(117, 25)]
+        assert dense_cores == [(91, 25)]
         assert calls[0] < 20_000
 
     @pytest.mark.parametrize(
