@@ -174,9 +174,7 @@ def _facet_catalog(args: argparse.Namespace):
         return cycle_facets(args.n, args.k)
     if args.space == "torus":
         return torus_facets(args.n, args.k)
-    if args.space == "window":
-        return z2_facets_in_window(args.window, args.k)
-    raise ValueError(f"unknown space kind {args.space!r}")
+    return z2_facets_in_window(args.window, args.k)
 
 
 def _facet_oracle(args: argparse.Namespace, space: FiniteMetricSpace) -> FacetSet:

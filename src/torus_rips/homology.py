@@ -26,15 +26,17 @@ boundary matrix, face index or whole clique layer is built.  One walk,
 ``_free_rows``, does every elimination, popping a column's rows from a
 max-heap, largest first, with one pivot lookup each.  Over the integers a
 reduced column whose low entry is not +/-1 is set aside; once every column
-is filed, the walk runs each set-aside column to its end and the rest is
-diagonalised densely.  ``smith_invariants`` is the same reducer behind a
-front end that checks its rows.  Python ints cannot overflow; torsion is
-read off exactly.
+is filed, the walk runs each set-aside column to its end, and the dense
+core of what is left is finished in two textbook steps: least-entry
+elimination splits off a diagonal, then pairwise gcd/lcm orders it by
+divisibility.  ``smith_invariants`` is the same reducer behind a front end
+that checks its rows.  Python ints cannot overflow; torsion is read off
+exactly.
 
 The deadline is read by ``_reduce`` alone while columns are drawn: before
 column 0, every ``_DEADLINE_CHUNK`` columns after it and before each
-residual column, with the stage named in the BudgetError.  The dense Smith
-normal form reads it before each pivot.
+residual column, with the stage named in the BudgetError.  The dense
+finish reads it once per elimination round.
 
 Both rings are bounded in size only by the simplex budget and in time by the
 deadline; live memory is one vertex subtree, the dead ends and the explicit
@@ -51,6 +53,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd, lcm
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .complexes import (_DEADLINE_CHUNK, DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph,
@@ -182,10 +186,11 @@ def smith_invariants(
     drops zero entries and checks every row index against ``n_rows``.
     ``_reduce`` files the columns on the unit lows of a pivot map keyed by
     the largest row index, finishes the residual columns on the pivot rows
-    and hands what is left of them to a dense textbook Smith normal form,
-    refused with BudgetError when it would hold more than
-    ``_DENSE_CORE_LIMIT`` entries.  It reads the deadline as it draws the
-    columns, under the stage name "integer elimination".
+    and finishes what is left of them densely: least-entry elimination to a
+    diagonal, then pairwise gcd/lcm on it.  The dense core is refused with
+    BudgetError when it would hold more than ``_DENSE_CORE_LIMIT`` entries.
+    It reads the deadline as it draws the columns, under the stage name
+    "integer elimination".
 
     Returns:
         (rank, factors) where factors are the invariant factors greater
@@ -204,79 +209,49 @@ def smith_invariants(
 
 
 def _dense_snf_diagonal(m: list[list[int]], deadline: float | None = None) -> list[int]:
-    """Diagonalize a small dense integer matrix in place; return its diagonal.
+    """Diagonalize a small dense integer matrix, consuming it; return its diagonal.
 
-    The entries are positive and each divides the next: a pivot is accepted
-    only once it divides every entry left below and right of it, and the
-    later pivots are integer combinations of those entries.
+    Each round moves an entry p of least absolute value to the corner, the
+    last row and column, and reduces the rest of its column and its row
+    modulo p: every other row drops q times the corner row, where
+    (q, x) = divmod(row[-1], p), and then, as the column operations that
+    reduce the corner row, x times the corner row's quotients by p.  What
+    is left beside the corner is smaller than p, so a later round picks it;
+    once the corner stands alone it is split off.  One pairwise pass then
+    replaces each pair (a, b) of the diagonal by (gcd, lcm), an equivalent
+    diagonal, which leaves the entries positive with each dividing the next
+    (Newman, Integral Matrices, 1972, ch. II).
     """
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    out: list[int] = []
-    t = 0
+    diagonal = []
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError("time budget exceeded during dense Smith normal form")
-        pivot = None
-        for i in range(t, n_rows):
-            row = m[i]
-            for j in range(t, n_cols):
-                v = row[j]
-                if v and (pivot is None or abs(v) < pivot[0]):
-                    pivot = (abs(v), i, j)
-        if pivot is None:
+        flat = list(map(abs, chain.from_iterable(m)))
+        least = min(filter(None, flat), default=0)
+        if not least:
             break
-        _, pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
-        if pj != t:
+        i, j = divmod(flat.index(least), len(m[0]))
+        m[i], m[-1] = m[-1], m[i]
+        for row in m:
+            row[j], row[-1] = row[-1], row[j]
+        corner = m[-1]
+        p = corner[-1]
+        quotients = [v // p for v in corner[:-1]] + [0]
+        for i, row in enumerate(m[:-1]):
+            if row[-1]:
+                q, x = divmod(row[-1], p)
+                m[i] = [a - q * b - x * c for a, b, c in zip(row, corner, quotients)]
+        m[-1] = [v - q * p for v, q in zip(corner, quotients)]
+        if not any(m[-1][:-1]) and not any(row[-1] for row in m[:-1]):
+            diagonal.append(abs(p))
+            m.pop()
             for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        if m[t][t] < 0:
-            m[t] = [-v for v in m[t]]
-
-        p = m[t][t]
-        dirty = False
-        for i in range(t + 1, n_rows):
-            if m[i][t]:
-                q = m[i][t] // p
-                if q:
-                    row_i, row_t = m[i], m[t]
-                    for j in range(t, n_cols):
-                        row_i[j] -= q * row_t[j]
-                if m[i][t]:
-                    dirty = True
-        row_t = m[t]
-        for j in range(t + 1, n_cols):
-            if row_t[j]:
-                q = row_t[j] // p
-                if q:
-                    for row in m[t:]:
-                        row[j] -= q * row[t]
-                if row_t[j]:
-                    dirty = True
-        if dirty:
-            continue
-
-        # Pivot row and column are clear; fold in any entry the pivot misses.
-        offender = None
-        for i in range(t + 1, n_rows):
-            row = m[i]
-            for j in range(t + 1, n_cols):
-                if row[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_t, row_o = m[t], m[offender]
-            for j in range(t, n_cols):
-                row_t[j] += row_o[j]
-            continue
-        out.append(p)
-        t += 1
-        if t == n_rows or t == n_cols:
-            break
-    return out
+                row.pop()
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            diagonal[i], diagonal[j] = (gcd(diagonal[i], diagonal[j]),
+                                        lcm(diagonal[i], diagonal[j]))
+    return diagonal
 
 
 def _common_neighbours(masks: Sequence[int], key: int) -> int:
@@ -403,9 +378,10 @@ def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
     row operations from those rows clear the pivots' other entries and leave
     the residual columns, zero there, alone.  The rank is the number of
     explicit pivots plus the rank of the residual core on the other rows,
-    and the invariant factors are the core's, from a dense Smith normal form
-    refused with BudgetError when it would hold more than
-    ``_DENSE_CORE_LIMIT`` entries.
+    and the invariant factors are the core's: ``_dense_snf_diagonal``
+    eliminates it from its least entries to a diagonal and orders that by
+    pairwise gcd/lcm.  The core is refused with BudgetError, before it is
+    allocated, when it would hold more than ``_DENSE_CORE_LIMIT`` entries.
 
     This is the one reading of the deadline while columns are drawn: before
     column 0 and every ``_DEADLINE_CHUNK`` columns after it, then before each
@@ -431,11 +407,7 @@ def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
             f"dense Smith normal form core of {len(live_rows)} x {len(residual)} "
             f"= {entries} entries, over the limit of {_DENSE_CORE_LIMIT}"
         )
-    row_pos = {r: i for i, r in enumerate(live_rows)}
-    dense = [[0] * len(residual) for _ in live_rows]
-    for j, col in enumerate(residual):
-        for r, v in col.items():
-            dense[row_pos[r]][j] = v
+    dense = [[col.get(r, 0) for col in residual] for r in live_rows]
     factors = _dense_snf_diagonal(dense, deadline)
     return len(pivots) + len(factors), tuple(f for f in factors if f > 1)
 

@@ -93,15 +93,16 @@ def compute_profile(
     A complete scale graph short-circuits to the one-simplex profile without
     enumeration; otherwise ``collapse_edges`` removes the dominated edges,
     ``degeneracy_order`` relabels the collapsed graph smallest-last, and the
-    requested coefficient pipeline streams the complex through one dimension
-    above max_dim (or to completion when max_dim is None).  The order only
-    sets the cost of the scan and the reduction: no answer depends on it.  The
-    deadline, when not given, is read from ``config`` before anything else, so
-    it bounds every stage, the build of the scale graph included.  The
-    collapse keeps Betti numbers and torsion; ``euler``, ``truncated_at``, the
-    length of a full-depth ``betti`` and the returned simplex counts per
-    dimension (the counted top layer included, None for a complete graph)
-    describe the collapsed complex.  Returns the profile and those counts.
+    requested coefficient pipeline scans the clique tree through one
+    dimension above max_dim (or to completion when max_dim is None), then
+    reduces the dead ends the scan collected.  The order only sets the cost
+    of the scan and the reduction: no answer depends on it.  The deadline,
+    when not given, is read from ``config`` before anything else, so it
+    bounds every stage, the build of the scale graph included.  The collapse
+    keeps Betti numbers and torsion; ``euler``, ``truncated_at``, the length
+    of a full-depth ``betti`` and the returned simplex counts per dimension
+    (the counted top layer included, None for a complete graph) describe the
+    collapsed complex.  Returns the profile and those counts.
     """
     if deadline is None:
         deadline = config.deadline()
@@ -146,8 +147,6 @@ def certify_torus(
     ``compute_profile``.
     """
     space = torus_space(n)
-    if not 0 <= k:
-        raise ValueError(f"scale must be nonnegative, got {k}")
     deadline = config.deadline()
     graph = vr_graph(space, k, deadline)
     antipode = antipode_check(graph)

@@ -461,6 +461,19 @@ class TestSmithInvariants:
             smith_invariants(8, cols, deadline=3.5)
         assert reducer_clock.ticks == 4
 
+    def test_deadline_checked_in_dense_finish(self, reducer_clock):
+        # No entry is a unit, so both columns reach the dense core.  The
+        # clock is read before column 0 and before each residual column,
+        # three readings; a deadline after those stops at the first round
+        # of the dense finish.
+        cols = columns_from_rows([[2, 4], [6, 8]])
+        assert smith_invariants(2, cols, deadline=float("inf")) == (2, (2, 4))
+        assert reducer_clock.ticks > 4
+        reducer_clock.ticks = 0
+        with pytest.raises(BudgetError, match="during dense Smith normal form"):
+            smith_invariants(2, cols, deadline=3.5)
+        assert reducer_clock.ticks == 4
+
     @given(
         st.one_of(
             integer_matrices(5, st.integers(min_value=-9, max_value=9)),
