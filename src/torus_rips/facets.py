@@ -97,14 +97,21 @@ def z2_facets_in_window(window: Window, k: int) -> FacetSet:
 
 
 def in_window_interior(window: Window, k: int, simplex: Sequence[int]) -> bool:
-    """True when every vertex of a window-index simplex is ceil(k/2) off the boundary."""
+    """True when every vertex of a window-index simplex is ceil(k/2) off the boundary.
+
+    Raises ValueError for an index outside the window.
+    """
     margin = (k + 1) // 2
+    height = window.height
+    x_hi = window.width - 1 - margin
+    y_hi = height - 1 - margin
     for idx in simplex:
-        p = window.point(idx)
-        if not (
-            window.x_min + margin <= p.x <= window.x_max - margin
-            and window.y_min + margin <= p.y <= window.y_max - margin
-        ):
+        # dx and dy are x - x_min and y - y_min; only an index outside the
+        # window takes dx out of 0..width - 1.
+        dx, dy = divmod(idx, height)
+        if not (margin <= dx <= x_hi and margin <= dy <= y_hi):
+            if not 0 <= dx < window.width:
+                raise ValueError(f"index {idx} out of range for window {window}")
             return False
     return True
 
@@ -203,17 +210,26 @@ def brute_force_facets(graph: Graph) -> FacetSet:
     X, all as bitmasks, and picks the pivot of Tomita, Tanaka & Takahashi
     (2006): the vertex of P or X whose neighbourhood covers most of P.  X is
     scanned first; a vertex of X adjacent to all of P ends the node, since
-    every maximal clique below it would extend by that vertex.  Otherwise
-    the scan goes on through P and stops at the first vertex that covers
-    |P| - 1, which leaves one branch.  Both scans walk from the top bit
-    down and keep the first vertex of largest coverage, and the node
-    branches on P less the pivot's neighbours, also from the top down.  The
-    last branch extends R in place and loops instead of recursing, so a
-    chain of single-branch nodes costs no recursion.  Any pivot yields every
-    maximal clique exactly once, so the scan order changes the search tree,
-    never the facet set; the search is deterministic, and a clique reported
-    twice raises RuntimeError.  Refuses graphs above the vertex budget
-    rather than running unbounded.
+    every maximal clique below it would extend by that vertex.  Then one
+    full pass over P finds its universal vertices U, those adjacent to all
+    the rest of P, and keeps the best vertex outside U.  Every clique C with
+    R <= C <= R + P extends by each vertex of U, so every maximal clique the
+    node reports holds U, and the node equals (R + U, P - U, X & N(U)),
+    where N(U) is the common neighbourhood of U; the search moves U across
+    at once.  An X vertex outside N(U) leaves X, and once P is empty the
+    leaf test decides.  Otherwise the pivot is the best X vertex if it is
+    still in X and covers at least as much as the best P vertex outside U;
+    every coverage that survives the move drops by exactly |U|, since that
+    X vertex is in N(U) and U is adjacent to all of P, so the comparison
+    still holds.  The scans walk from the top bit down and keep the first
+    vertex of largest coverage, and the node branches on P less the pivot's
+    neighbours, also from the top down.  The last branch extends R in place
+    and loops instead of recursing, so a chain of single-branch nodes costs
+    no recursion.  Any pivot yields every maximal clique exactly once, so
+    the scan order changes the search tree, never the facet set; the
+    search is deterministic, and a clique reported twice raises
+    RuntimeError.  Refuses graphs above the vertex budget rather than
+    running unbounded.
     """
     n = graph.vertex_count
     if n > BRUTE_FORCE_VERTEX_BUDGET:
@@ -238,16 +254,31 @@ def brute_force_facets(graph: Graph) -> FacetSet:
                         return
                     best = c
                     pivot = u
-            m = candidates if best < size - 1 else 0
+            universal = 0
+            p_best = -1
+            m = candidates
             while m:
                 u = m.bit_length() - 1
-                m ^= 1 << u
+                bit = 1 << u
+                m ^= bit
                 c = (candidates & masks[u]).bit_count()
-                if c > best:
-                    best = c
-                    pivot = u
-                    if c == size - 1:
-                        break
+                if c == size - 1:
+                    universal |= bit
+                elif c > p_best:
+                    p_best = c
+                    p_pivot = u
+            if universal:
+                clique |= universal
+                candidates ^= universal
+                while universal and excluded:
+                    u = universal.bit_length() - 1
+                    universal ^= 1 << u
+                    excluded &= masks[u]
+                if not candidates:
+                    break
+            # P is not empty here, so p_best >= 0 and pivot is read only if X had one.
+            if p_best > best or not excluded >> pivot & 1:
+                pivot = p_pivot
             branch = candidates & masks[pivot] ^ candidates
             while True:
                 v = branch.bit_length() - 1

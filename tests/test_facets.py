@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torus_rips as tr
+from bron_kerbosch_reference import reference_facets
 from torus_rips import facets as facets_module
 from torus_rips.errors import BudgetError, UnsupportedRegimeError
 from torus_rips.facets import _diamonds
@@ -99,6 +100,12 @@ class TestWindowFacets:
         edge = win.index((4, 0))
         assert tr.in_window_interior(win, 2, [center])
         assert not tr.in_window_interior(win, 2, [center, edge])
+
+    @pytest.mark.parametrize("idx", [-1, 81, 200])
+    def test_in_window_interior_rejects_outside_index(self, idx):
+        win = tr.Window(-4, 4, -4, 4)
+        with pytest.raises(ValueError, match=f"index {idx} out of range"):
+            tr.in_window_interior(win, 2, [win.index((0, 0)), idx])
 
 
 class TestCycleFacets:
@@ -222,14 +229,18 @@ class TestProjectFacet:
             tr.torus_facets(7, 2)
 
 
-@st.composite
-def random_graphs(draw):
-    """A graph on at most 12 vertices, each pair an edge with a drawn density."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    density = draw(st.sampled_from([0.2, 0.5, 0.8, 0.95]))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
-    return tr.Graph.from_edges(n, edges)
+def random_graphs(max_vertices=12, densities=(0.2, 0.5, 0.8, 0.95)):
+    """Graphs on at most max_vertices vertices, each pair an edge with a drawn density."""
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(min_value=1, max_value=max_vertices))
+        density = draw(st.sampled_from(densities))
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        return tr.Graph.from_edges(n, edges)
+
+    return graphs()
 
 
 class TestBruteForceFacets:
@@ -254,6 +265,24 @@ class TestBruteForceFacets:
         with pytest.raises(BudgetError):
             tr.brute_force_facets(g)
 
+    def test_universal_vertices_join_the_clique(self):
+        # 0 and 1 are adjacent to every other vertex, so the root moves both
+        # into the clique before it branches on 3 and 2.
+        g = tr.Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        assert oracle_set(g) == {(0, 1, 2), (0, 1, 3)}
+
+    def test_excluded_vertex_off_the_universal_set_leaves(self):
+        # On the path 4 - 0 - 1 - 2 - 3 the edge (0, 1) is reached at the
+        # node R = {0}, P = {1}, X = {4}: 1 is universal in P and 4 is not
+        # adjacent to it, so 4 must leave X for the edge to be reported.
+        g = tr.Graph.from_edges(5, [(4, 0), (0, 1), (1, 2), (2, 3)])
+        assert oracle_set(g) == {(0, 4), (0, 1), (1, 2), (2, 3)}
+
+    @given(random_graphs(max_vertices=24, densities=(0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 1.0)))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_reference_on_random_graphs(self, graph):
+        assert tr.brute_force_facets(graph).facets == reference_facets(graph).facets
+
     @given(random_graphs())
     @settings(deadline=None, max_examples=150)
     def test_matches_maximal_enumerated_cliques(self, graph):
@@ -265,6 +294,26 @@ class TestBruteForceFacets:
             if tr.is_maximal_clique(graph, sigma)
         }
         assert set(tr.brute_force_facets(graph).facets) == want
+
+
+# The benchmark's catalog graphs, then the acceptance tori and window scales.
+REFERENCE_CASES = [
+    *(pytest.param(tr.torus_space(n), k, id=f"T{n} k{k}")
+      for n, k in [(16, 5), (20, 4), (20, 6), (24, 5), (24, 7), (30, 6)]),
+    *(pytest.param(tr.window_space(tr.Window(-h, h, -h, h)), k, id=f"W{2 * h + 1} k{k}")
+      for h, k in [(12, 4), (15, 5)]),
+    *(pytest.param(tr.torus_space(n), k, id=f"T{n} k{k}")
+      for n, k in [(7, 2), (8, 2), (9, 2), (10, 2), (11, 2), (12, 2), (10, 3), (11, 3),
+                   (12, 3), (6, 2), (9, 3), (12, 4), (8, 3), (11, 4)]),
+    *(pytest.param(tr.window_space(tr.Window(-6, 6, -6, 6)), k, id=f"W13 k{k}")
+      for k in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("space,k", REFERENCE_CASES)
+def test_matches_reference_search(space, k):
+    graph = tr.vr_graph(space, k)
+    assert tr.brute_force_facets(graph).facets == reference_facets(graph).facets
 
 
 def oracle_set(graph):
