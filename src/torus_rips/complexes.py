@@ -10,7 +10,9 @@ type, and ``degeneracy_order`` relabels the vertices smallest-last, which
 keeps the clique subtrees small whatever the input's labels.
 ``scan_clique_tree`` walks the complex one vertex subtree at a time and keeps
 only what the coboundary reducer needs: the counts per dimension, the number
-of simplices with an extension and the dead ends.
+of simplices with an extension and the dead ends.  One layer loop extends
+each subtree; it keeps the keys and extension masks of the simplices below
+max_dim that extend, and of layer max_dim only the extension masks.
 ``enumerate_simplices`` builds whole layers, one from the other, and keeps
 them for listings and the tests.
 """
@@ -346,11 +348,12 @@ def scan_clique_tree(
     vertex, and the subtree of vertex v holds the cliques whose lowest
     vertex is v.  Each subtree is extended layer by layer as in
     ``enumerate_simplices``, and the subtrees in vertex order give every
-    dimension in lexicographic order.  Only the simplices below max_dim with
-    a nonzero extension mask are kept to be extended, so the live set is one
-    subtree's, plus the dead ends.  Layer max_dim is classified as it is
-    made, not kept, and the layer above it is counted from the masks and
-    probed for a simplex one dimension higher; None means every dimension.
+    dimension in lexicographic order.  One loop builds every layer: the
+    simplices below max_dim with a nonzero extension mask are kept, key and
+    mask, to be extended; of layer max_dim, never extended, only the nonzero
+    masks are kept, and they count the layer above it and probe that layer
+    for a simplex one dimension higher.  So the live set is two layers of
+    one subtree, plus the dead ends.  None means every dimension.
 
     The budget caps the running total of simplices, vertices first, and
     refuses with SimplexBudgetError before a subtree layer that would pass it
@@ -386,41 +389,20 @@ def scan_clique_tree(
             dead_ends[0].append(key)
             continue
         apparent[0] += 1
-        if max_dim == 0:
-            count(1, cand.bit_count())
-            reaches = reaches or _has_edge_within(masks, cand)
-            continue
-        # The simplices of layer d - 1 in this subtree that have an extension.
+        # The simplices of layer d - 1 in this subtree that have an extension;
+        # of layer max_dim only the extension masks are kept.
         keys, cands = [key], [cand]
         for d in itertools.count(1):
             count(d, sum(map(int.bit_count, cands)))
+            if d - 1 == max_dim:
+                reaches = reaches or any(_has_edge_within(masks, c) for c in cands)
+                break
             if d == len(apparent):
                 apparent.append(0)
                 dead_ends.append([])
             dead = dead_ends[d].append
             pairs = zip(keys, cands)
-            if d == max_dim:
-                # The top reduced layer is classified and its extensions
-                # counted, but it is not kept.
-                live = above = 0
-                for _ in range(0, len(keys), _DEADLINE_CHUNK):
-                    _check_deadline(deadline, f"while enumerating dimension {d}")
-                    for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
-                        while m:
-                            low = m & -m
-                            m ^= low
-                            c = m & masks[low.bit_length() - 1]
-                            if c:
-                                live += 1
-                                above += c.bit_count()
-                                if not reaches and _has_edge_within(masks, c):
-                                    reaches = True
-                            elif m:
-                                dead(key | low)
-                apparent[d] += live
-                if above:
-                    count(d + 1, above)
-                break
+            keep = d != max_dim
             next_keys: list[int] = []
             next_cands: list[int] = []
             append_k = next_keys.append
@@ -433,13 +415,14 @@ def scan_clique_tree(
                         m ^= low
                         c = m & masks[low.bit_length() - 1]
                         if c:
-                            append_k(key | low)
+                            if keep:
+                                append_k(key | low)
                             append_c(c)
                         elif m:
                             dead(key | low)
-            if not next_keys:
+            if not next_cands:
                 break
-            apparent[d] += len(next_keys)
+            apparent[d] += len(next_cands)
             keys, cands = next_keys, next_cands
     return CliqueScan(
         counts=tuple(counts),

@@ -86,13 +86,18 @@ def z2_facets_in_window(window: Window, k: int) -> FacetSet:
     ix_lo, ix_hi = window.x_min + margin, window.x_max - margin
     iy_lo, iy_hi = window.y_min + margin, window.y_max - margin
 
+    height = window.height
     facets = set()
     for stencil in _diamonds(k):
         xs = [dx for dx, _ in stencil]
         ys = [dy for _, dy in stencil]
+        # The stencil ascends in (dx, dy) and |dy| <= k < height, so its index
+        # offsets ascend too and every translate comes out sorted.
+        offsets = [dx * height + dy for dx, dy in stencil]
         for a in range(ix_lo - min(xs), ix_hi - max(xs) + 1):
             for b in range(iy_lo - min(ys), iy_hi - max(ys) + 1):
-                facets.add(tuple(sorted(window.index((a + dx, b + dy)) for dx, dy in stencil)))
+                base = (a - window.x_min) * height + (b - window.y_min)
+                facets.add(tuple(base + o for o in offsets))
     return FacetSet(facets=frozenset(facets))
 
 

@@ -659,6 +659,9 @@ def scan_reference(graph, max_dim):
     return tuple(counts), tuple(apparent), tuple(dead_ends), complete
 
 
+K5_EDGES = list(itertools.combinations(range(5), 2))
+
+
 class TestScanCliqueTree:
     @given(
         st.one_of(
@@ -691,6 +694,25 @@ class TestScanCliqueTree:
             scan_clique_tree(graph, max_dim, budget=total - 1)
         assert total - 1 < info.value.count <= total
         assert str(info.value).endswith(f"at {info.value.count} simplices")
+
+    @pytest.mark.parametrize("max_dim, budget, dim, count", [(0, 8, 1, 9), (1, 14, 2, 15)])
+    def test_refusal_in_the_counted_layer(self, max_dim, budget, dim, count):
+        # K5: vertex 0's subtree counts 4 edges, then 3 + 2 + 1 triangles, so
+        # the layer above max_dim passes the budget in the first subtree.
+        graph = tr.Graph.from_edges(5, K5_EDGES)
+        with pytest.raises(SimplexBudgetError) as info:
+            scan_clique_tree(graph, max_dim, budget=budget)
+        assert (info.value.dim, info.value.count) == (dim, count)
+
+    @pytest.mark.parametrize("edges, max_dim, complete", [
+        (K5_EDGES, 0, False),
+        (K5_EDGES, 2, False),
+        (K5_EDGES, 3, True),
+        ([(0, 1), (1, 2), (2, 3)], 0, True),
+    ])
+    def test_counted_layer_is_probed_one_dimension_up(self, edges, max_dim, complete):
+        graph = tr.Graph.from_edges(1 + max(map(max, edges)), edges)
+        assert scan_clique_tree(graph, max_dim).complete is complete
 
     def test_deadline_read_once_per_parent_extended(self, monkeypatch):
         readings = itertools.count()
