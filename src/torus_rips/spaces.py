@@ -5,6 +5,13 @@ Each space has exactly one distance, the closure that ``cycle_space``,
 everything downstream (scale graphs, balls, certificates) reads that one.
 Every distance is an exact nonnegative integer; nothing here touches
 floating point.
+
+Each closure only looks its answer up: the constructor builds small
+coordinate tables once per space, O(point_count) ints in all, and the
+closure reads them with no division or ``min`` per call (the principle of
+Ripser: compute metric data once, look it up in the inner loop).  A distance
+is defined on vertex indices 0..point_count - 1 only; an index past the end
+raises ``IndexError`` and a negative index is not checked.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ class FiniteMetricSpace:
     """A finite metric space addressed by vertex index 0..point_count-1.
 
     Torus vertices are indexed row * n + col; window vertices in lexicographic
-    (x, y) order.  ``distance`` is total, nonnegative and integer-valued, and
-    must satisfy the metric axioms, which ``vr_graph`` and
-    ``connectivity_bound`` rely on:
+    (x, y) order.  ``distance`` is defined on 0..point_count-1, nonnegative
+    and integer-valued, and must satisfy the metric axioms, which ``vr_graph``
+    and ``connectivity_bound`` rely on:
 
     - d(u, v) = 0 exactly when u = v;
     - d(u, v) = d(v, u);
@@ -44,28 +51,35 @@ class FiniteMetricSpace:
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:
-    """The n-point cycle with hop metric; vertex index equals cycle position."""
+    """The n-point cycle with hop metric; vertex index equals cycle position.
+
+    ``hops[d]`` is the hop distance of a gap d; a negative gap -d indexes
+    from the end, and ``hops[n - d] == hops[d]``.
+    """
     if n < 3:
         raise ValueError(f"cycle length must be at least 3, got {n}")
+    hops = [min(d, n - d) for d in range(n)]
 
     def dist(i: int, j: int) -> int:
-        d = abs(i - j)
-        return min(d, n - d)
+        return hops[i - j]
 
     return FiniteMetricSpace(point_count=n, distance=dist, label=f"cycle {n}")
 
 
 def torus_space(n: int) -> FiniteMetricSpace:
-    """The n-by-n torus grid with the L1 product metric; index = row * n + col."""
+    """The n-by-n torus grid with the L1 product metric; index = row * n + col.
+
+    ``row[a]`` and ``col[a]`` are vertex a's coordinates, and the distance
+    sums the cycle's ``hops`` of the two coordinate gaps.
+    """
     if n < 3:
         raise ValueError(f"torus side must be at least 3, got {n}")
+    hops = [min(d, n - d) for d in range(n)]
+    row = [r for r in range(n) for _ in range(n)]
+    col = list(range(n)) * n
 
     def dist(a: int, b: int) -> int:
-        ar, ac = divmod(a, n)
-        br, bc = divmod(b, n)
-        dr = abs(ar - br)
-        dc = abs(ac - bc)
-        return min(dr, n - dr) + min(dc, n - dc)
+        return hops[row[a] - row[b]] + hops[col[a] - col[b]]
 
     return FiniteMetricSpace(point_count=n * n, distance=dist, label=f"torus {n}")
 
@@ -117,14 +131,15 @@ class Window:
 
 
 def window_space(window: Window) -> FiniteMetricSpace:
-    """A finite chunk of the plane with the L1 metric, indexed per the window."""
-    height = window.height
+    """A finite chunk of the plane with the L1 metric, indexed per the window.
+
+    ``xs[a]`` and ``ys[a]`` are vertex a's offsets from (x_min, y_min).
+    """
+    width, height = window.width, window.height
+    xs = [x for x in range(width) for _ in range(height)]
+    ys = list(range(height)) * width
 
     def dist(a: int, b: int) -> int:
-        ax, ay = divmod(a, height)
-        bx, by = divmod(b, height)
-        return abs(ax - bx) + abs(ay - by)
+        return abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])
 
-    return FiniteMetricSpace(
-        point_count=window.width * window.height, distance=dist, label=window.label
-    )
+    return FiniteMetricSpace(point_count=width * height, distance=dist, label=window.label)

@@ -62,6 +62,12 @@ class TestCycleDistance:
             for i, j, m in itertools.product(range(n), repeat=3):
                 assert dist(i, m) <= dist(i, j) + dist(j, m)
 
+    def test_every_pair_matches_definition(self):
+        for n in range(3, 13):
+            dist = tr.cycle_space(n).distance
+            for i, j in itertools.product(range(n), repeat=2):
+                assert dist(i, j) == min(abs(i - j), n - abs(i - j))
+
     def test_rejects_bad_arguments(self):
         for n in (2, 1, 0, -3):
             with pytest.raises(ValueError):
@@ -140,6 +146,23 @@ class TestSpaces:
         a = win.index(tr.LatticePoint(0, 0))
         b = win.index(tr.LatticePoint(2, -1))
         assert space.distance(a, b) == 3
+
+
+class TestWindowDistance:
+    @pytest.mark.parametrize("win", [
+        tr.Window(-3, 4, -1, 2),    # 8 wide, 4 high
+        tr.Window(0, 2, 5, 11),     # 3 wide, 7 high
+        tr.Window(-5, -5, 0, 6),    # one column
+        tr.Window(1, 9, -2, -2),    # one row
+    ], ids=lambda w: w.label)
+    def test_every_pair_is_plane_l1(self, win):
+        # Non-square windows: a distance that mixed up width and height
+        # would still pass on a square one.
+        space = tr.window_space(win)
+        assert space.point_count == win.width * win.height
+        for a, b in itertools.product(range(space.point_count), repeat=2):
+            p, q = win.point(a), win.point(b)
+            assert space.distance(a, b) == abs(p.x - q.x) + abs(p.y - q.y)
 
 
 class TestWindow:
