@@ -14,7 +14,8 @@ of simplices with an extension and the dead ends.  One layer loop extends
 each subtree; it keeps the keys and extension masks of the simplices below
 max_dim that extend, and of layer max_dim only the extension masks.
 ``enumerate_simplices`` builds whole layers, one from the other, and keeps
-them for listings and the tests.
+them: an unbounded reference listing for the tests, which library runs never
+reach.
 """
 
 from __future__ import annotations
@@ -367,10 +368,8 @@ def scan_clique_tree(
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     n = graph.vertex_count
     masks = graph.masks
-    counts, apparent, dead_ends = [n], [0], [[]]
-    total = n
-    if budget is not None and total > budget:
-        raise SimplexBudgetError(budget, 0, total)
+    counts, apparent, dead_ends = [], [0], [[]]
+    total = 0
     reaches = False
 
     def count(d: int, size: int) -> None:
@@ -382,6 +381,7 @@ def scan_clique_tree(
         if budget is not None and total > budget:
             raise SimplexBudgetError(budget, d, total)
 
+    count(0, n)
     for v in range(n):
         key = 1 << v
         cand = masks[v] & -(key << 1)
@@ -432,12 +432,7 @@ def scan_clique_tree(
     )
 
 
-def enumerate_simplices(
-    graph: Graph,
-    max_dim: int,
-    budget: int | None = DEFAULT_SIMPLEX_BUDGET,
-    deadline: float | None = None,
-) -> FlagComplex:
+def enumerate_simplices(graph: Graph, max_dim: int) -> FlagComplex:
     """All cliques of the graph with at most max_dim + 1 vertices, layer by layer.
 
     Layer d lists the d-simplices as vertex bitmasks in the lexicographic
@@ -446,13 +441,11 @@ def enumerate_simplices(
     are taken from the lowest up, so once bit v is taken what is left of
     cand is its part above v, and the child key | v gets that part ANDed
     with v's neighbours as its mask.  Layer d + 1 thus takes one AND per
-    extension and one OR per new key.  The popcounts of the cands are the
-    exact size of layer d + 1, so the budget, a cap on simplices across all
-    dimensions (None disables it), refuses that layer with
-    SimplexBudgetError before it is built.  The deadline, a time.monotonic()
-    cutoff, is read as each layer is begun and every 4096 parents within it.
-    max_dim must be nonnegative.  The FlagComplex is ``complete``
-    iff the complex has no simplex above the last enumerated dimension.
+    extension and one OR per new key.  No budget or deadline bounds it: it
+    is the unbounded reference listing of the tests, and library runs count
+    the complex with ``scan_clique_tree`` instead.  max_dim must be
+    nonnegative.  The FlagComplex is ``complete`` iff the complex has no
+    simplex above the last enumerated dimension.
     """
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
@@ -461,29 +454,19 @@ def enumerate_simplices(
     keys: list[int] = [1 << v for v in range(n)]
     cands: list[int] = [masks[v] & -(1 << (v + 1)) for v in range(n)]
     layers = [tuple(keys)]
-    total = n
-    if budget is not None and total > budget:
-        raise SimplexBudgetError(budget, 0, total)
-    for d in range(1, max_dim + 1):
-        size = sum(map(int.bit_count, cands))
-        if not size:
+    for _ in range(max_dim):
+        if not any(cands):
             break
-        total += size
-        if budget is not None and total > budget:
-            raise SimplexBudgetError(budget, d, total)
         next_keys: list[int] = []
         next_cands: list[int] = []
         append_k = next_keys.append
         append_c = next_cands.append
-        pairs = zip(keys, cands)
-        for _ in range(0, len(keys), _DEADLINE_CHUNK):
-            _check_deadline(deadline, f"while enumerating dimension {d}")
-            for key, m in itertools.islice(pairs, _DEADLINE_CHUNK):
-                while m:
-                    low = m & -m
-                    m ^= low
-                    append_k(key | low)
-                    append_c(m & masks[low.bit_length() - 1])
+        for key, m in zip(keys, cands):
+            while m:
+                low = m & -m
+                m ^= low
+                append_k(key | low)
+                append_c(m & masks[low.bit_length() - 1])
         keys, cands = next_keys, next_cands
         layers.append(tuple(keys))
     return FlagComplex(

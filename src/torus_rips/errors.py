@@ -8,7 +8,7 @@ class BudgetError(RuntimeError):
 
 
 class SimplexBudgetError(BudgetError):
-    """Clique enumeration or the clique-tree scan hit the global simplex budget.
+    """The clique-tree scan hit the global simplex budget.
 
     Carries the budget, the dimension that was being enumerated when the
     budget ran out and ``count``, the running simplex total that passed the

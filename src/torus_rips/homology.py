@@ -50,6 +50,9 @@ stops a larger one.
 ``boundary_matrix``, ``signed_boundary_columns`` and ``gf2_rank`` build and
 reduce boundary matrices in the homology direction from the vertex tuples;
 the library does not call them, and the tests use them as the reference.
+``gf2_rank`` is the front end of ``_reduce`` with modulus 2, so
+``_free_rows`` is the library's one elimination loop; the tests check its
+rank against numpy's dense one.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import (_DEADLINE_CHUNK, DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph,
                         euler_characteristic, scan_clique_tree)
@@ -101,39 +104,20 @@ class BettiProfile:
         return d < len(self.betti) and (self.truncated_at is None or d <= self.truncated_at)
 
 
-def gf2_rank(
-    columns: Iterable[Iterable[int]],
-    skip: AbstractSet[int] = frozenset(),
-    deadline: float | None = None,
-) -> tuple[int, frozenset[int]]:
+def gf2_rank(columns: Iterable[Iterable[int]]) -> tuple[int, frozenset[int]]:
     """Rank of a GF(2) matrix given as sparse columns, plus its pivot rows.
 
-    Standard left-to-right reduction: each column is XOR-reduced against the
-    recorded pivot columns until it gains a fresh pivot row (its largest row
-    index) or vanishes.  Columns whose index is in ``skip`` are known in
-    advance to reduce to zero (the clearing optimization) and are not
-    touched.  ``columns`` may be a lazy sequence; the deadline is checked
-    every ``_DEADLINE_CHUNK`` columns, cleared ones included, as they are
-    drawn from it.
-    Nothing in the library calls it: ``betti_gf2`` runs the shared coboundary
-    reducer mod 2.  It stays public API and an independent GF(2) reference.
+    The front end of ``_reduce`` with modulus 2, as ``smith_invariants`` is
+    with modulus 0: each column enters as its set of rows, every entry 1,
+    and is reduced against the pivots filed so far until its largest row is
+    free, which becomes its pivot row, or it vanishes.  ``columns`` may be a
+    lazy sequence.  Nothing in the library calls it: ``betti_gf2`` runs the
+    coboundary reducer mod 2, and the tests check this homology-direction
+    rank against an independent dense elimination in numpy.
     """
-    pivots: dict[int, tuple[int, ...]] = {}
-    rank = 0
-    for j, col in enumerate(columns):
-        if deadline is not None and j % _DEADLINE_CHUNK == 0 and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during GF(2) reduction at column {j}")
-        if j in skip:
-            continue
-        cur = set(col)
-        while cur:
-            low = max(cur)
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = tuple(cur)
-                rank += 1
-                break
-            cur.symmetric_difference_update(other)
+    pivots: dict[int, dict[int, int]] = {}
+    rank, _ = _reduce((dict.fromkeys(col, 1) for col in columns), pivots, 2, None,
+                      "GF(2) elimination")
     return rank, frozenset(pivots)
 
 
@@ -436,7 +420,7 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
     counts = list(scan.counts)
     masks = graph.masks
     ring = "GF(2)" if modulus else "integer"
-    ranks, torsion, cleared = [0], [], frozenset()
+    ranks, torsion, cleared = [0], [], {}
     for d, (apparent, dead_ends) in enumerate(zip(scan.apparent, scan.dead_ends)):
         rank, factors = 0, ()
         # With no layer above, the coboundary is zero.
@@ -446,7 +430,7 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
                        for key in dead_ends if key not in cleared)
             rank, factors = _reduce(columns, pivots, modulus, deadline,
                                     f"{ring} reduction of dimension {d}")
-            cleared = frozenset(pivots)
+            cleared = pivots
         ranks.append(apparent + rank)
         torsion.append(factors)
 
@@ -464,12 +448,12 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
     )
 
 
-def betti_gf2(graph: Graph, max_betti_dim: int | None, deadline: float | None = None,
+def betti_gf2(graph: Graph, max_dim: int | None, deadline: float | None = None,
               budget: int | None = DEFAULT_SIMPLEX_BUDGET) -> BettiProfile:
-    """GF(2) Betti numbers of the clique complex of a graph through max_betti_dim.
+    """GF(2) Betti numbers of the clique complex of a graph through max_dim.
 
     None means every dimension.  The budget caps the simplices through
-    max_betti_dim + 1 as in ``scan_clique_tree``.  Over a field the rank of
+    max_dim + 1 as in ``scan_clique_tree``.  Over a field the rank of
     the boundary d+1 -> d equals the rank of the coboundary d -> d+1, so the
     coboundaries are reduced instead, from dimension 0 upward, by the
     reducer of ``homology_integer`` with entries taken mod 2.  Every simplex
@@ -480,7 +464,7 @@ def betti_gf2(graph: Graph, max_betti_dim: int | None, deadline: float | None = 
     cleared without being built (de Silva, Morozov & Vejdemo-Johansson 2011;
     Bauer, Ripser 2021).  Only the other dead ends are reduced.
     """
-    return _coboundary_profile(graph, max_betti_dim, 2, deadline, budget)
+    return _coboundary_profile(graph, max_dim, 2, deadline, budget)
 
 
 def homology_integer(graph: Graph, max_dim: int | None, deadline: float | None = None,

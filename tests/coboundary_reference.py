@@ -27,8 +27,7 @@ def clique_layers(graph, max_dim=None):
     extension mask, is recomputed as the common neighbours of its vertices
     above its top vertex.
     """
-    cx = enumerate_simplices(graph, graph.vertex_count - 1 if max_dim is None else max_dim,
-                             budget=None)
+    cx = enumerate_simplices(graph, graph.vertex_count - 1 if max_dim is None else max_dim)
     layers = []
     for keys in cx.keys:
         cands = []

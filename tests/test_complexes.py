@@ -4,7 +4,6 @@ import io
 import itertools
 import math
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -470,11 +469,6 @@ class TestEnumerateSimplices:
         sizes = [sum(len(c) == d + 1 for c in cliques) for d in range(6)]
         assert cx.counts == tuple(c for c in sizes[:5] if c)
         assert cx.complete == (sizes[5] == 0)
-        for d in range(len(cx.counts)):
-            through = sum(sizes[: d + 1])
-            with pytest.raises(SimplexBudgetError) as info:
-                tr.enumerate_simplices(graph, 4, budget=through - 1)
-            assert info.value.dim == d
 
     @given(st.builds(random_graph, st.integers(min_value=1, max_value=14),
                      st.floats(min_value=0.2, max_value=0.95),
@@ -531,81 +525,6 @@ class TestEnumerateSimplices:
         assert cx.complete
         assert cx.count_at(3) == 0
         assert cx.count_at(9) == 0
-
-    def test_simplex_budget(self):
-        graph = tr.vr_graph(tr.torus_space(6), 2)
-        with pytest.raises(SimplexBudgetError) as info:
-            tr.enumerate_simplices(graph, 10, budget=100)
-        assert info.value.budget == 100
-        assert info.value.dim >= 1
-        assert "dimension" in str(info.value)
-        # None disables the cap.
-        cx = tr.enumerate_simplices(graph, 2, budget=None)
-        assert cx.counts[0] == 36
-
-    def test_time_deadline(self):
-        graph = tr.vr_graph(tr.torus_space(5), 2)
-        with pytest.raises(BudgetError):
-            tr.enumerate_simplices(graph, 4, deadline=time.monotonic() - 1.0)
-
-    def test_simplex_budget_is_exact(self):
-        graph = tr.vr_graph(tr.torus_space(6), 2)
-        counts = tr.enumerate_simplices(graph, 3).counts
-        for d in range(1, 4):
-            through = sum(counts[: d + 1])
-            assert tr.enumerate_simplices(graph, d, budget=through).counts == counts[: d + 1]
-            with pytest.raises(SimplexBudgetError) as info:
-                tr.enumerate_simplices(graph, d, budget=through - 1)
-            assert info.value.dim == d
-            assert str(info.value) == (
-                f"simplex budget of {through - 1} exceeded while enumerating dimension {d} "
-                f"at {through} simplices"
-            )
-
-    def test_simplex_budget_refuses_before_building(self):
-        # K_24 through dimension 3 holds 12,950 simplices; dimension 4 would
-        # add 42,504.  A budget of 12,950 must stop without building them.
-        graph = tr.Graph.from_edges(24, itertools.combinations(range(24), 2))
-        budget = sum(math.comb(24, r) for r in range(1, 5))
-
-        def peak(**kwargs):
-            tracemalloc.start()
-            try:
-                tr.enumerate_simplices(graph, **kwargs)
-            except SimplexBudgetError:
-                pass
-            finally:
-                peak_bytes = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-            return peak_bytes
-
-        kept = peak(max_dim=3)
-        built = peak(max_dim=4)
-        refused = peak(max_dim=4, budget=budget)
-        assert built > 3 * kept
-        assert refused < 1.5 * kept
-
-    def test_deadline_checked_within_a_dimension(self, monkeypatch):
-        # A clock that ticks once per reading: the run must stop partway
-        # through the parents of one dimension, not only between dimensions.
-        class Clock:
-            ticks = 0
-
-            def monotonic(self):
-                Clock.ticks += 1
-                return Clock.ticks
-
-        graph = tr.vr_graph(tr.torus_space(7), 3)
-        assert tr.enumerate_simplices(graph, 4).counts[4] > 4096
-        monkeypatch.setattr(tr.complexes, "time", Clock())
-        tr.enumerate_simplices(graph, 5, deadline=float("inf"))
-        readings = Clock.ticks
-        # More readings than dimensions: some dimension was checked twice.
-        assert readings > 5
-        for late in (0.5, 1.5):
-            Clock.ticks = 0
-            with pytest.raises(BudgetError, match="enumerating dimension 5"):
-                tr.enumerate_simplices(graph, 5, deadline=readings - late)
 
     def test_rejects_negative_max_dim(self):
         with pytest.raises(ValueError):
@@ -696,14 +615,37 @@ class TestScanCliqueTree:
         assert total - 1 < info.value.count <= total
         assert str(info.value).endswith(f"at {info.value.count} simplices")
 
-    @pytest.mark.parametrize("max_dim, budget, dim, count", [(0, 8, 1, 9), (1, 14, 2, 15)])
+    @pytest.mark.parametrize("max_dim, budget, dim, count",
+                             [(0, 4, 0, 5), (0, 8, 1, 9), (1, 14, 2, 15)])
     def test_refusal_in_the_counted_layer(self, max_dim, budget, dim, count):
-        # K5: vertex 0's subtree counts 4 edges, then 3 + 2 + 1 triangles, so
-        # the layer above max_dim passes the budget in the first subtree.
+        # K5: the 5 vertices are counted first; then vertex 0's subtree counts
+        # 4 edges, then 3 + 2 + 1 triangles, so the layer above max_dim passes
+        # the budget in the first subtree.
         graph = tr.Graph.from_edges(5, K5_EDGES)
         with pytest.raises(SimplexBudgetError) as info:
             scan_clique_tree(graph, max_dim, budget=budget)
         assert (info.value.dim, info.value.count) == (dim, count)
+
+    def test_simplex_budget_refuses_before_building(self):
+        # K24 through dimension 4 holds 55,454 simplices.  Vertex 0's subtree
+        # brings the running total to 44,575 through dimension 5, and its
+        # 100,947 6-simplices pass the budget at 145,522: the scan must refuse
+        # them before it builds their extension masks, so it peaks well below
+        # the unbounded run.
+        graph = tr.Graph.from_edges(24, itertools.combinations(range(24), 2))
+        budget = sum(math.comb(24, r) for r in range(1, 6))
+        tracemalloc.start()
+        try:
+            scan_clique_tree(graph, 6, budget=None)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(SimplexBudgetError) as info:
+                scan_clique_tree(graph, 6, budget=budget)
+            refused = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.dim, info.value.count) == (6, 145_522)
+        assert refused < 0.75 * built
 
     @pytest.mark.parametrize("edges, max_dim, complete", [
         (K5_EDGES, 0, False),

@@ -229,13 +229,6 @@ class TestGf2Rank:
         assert rank == 2
         assert pivots == {0, 1}
 
-    def test_skip_clears_known_zero_columns(self):
-        cols = [(0, 1), (0, 1), (2,)]
-        assert tr.gf2_rank(cols)[0] == 2
-        # Declaring column 1 already-reduced must not change the rank of the
-        # remaining columns.
-        assert tr.gf2_rank(cols, skip=frozenset({1}))[0] == 2
-
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
             lambda nr: st.tuples(
@@ -256,14 +249,6 @@ class TestGf2Rank:
         n_rows, columns = case
         cols = [tuple(sorted(c)) for c in columns]
         assert tr.gf2_rank(cols)[0] == dense_gf2_rank(n_rows, cols)
-
-    def test_deadline(self):
-        cols = [(i,) for i in range(10)]
-        with pytest.raises(BudgetError):
-            tr.gf2_rank(cols, deadline=time.monotonic() - 1.0)
-        # The check also runs over cleared columns.
-        with pytest.raises(BudgetError):
-            tr.gf2_rank(cols, skip=frozenset(range(10)), deadline=time.monotonic() - 1.0)
 
 
 class TestBettiGf2:
