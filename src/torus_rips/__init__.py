@@ -21,13 +21,9 @@ from .certificates import (
 )
 from .complexes import (
     DEFAULT_SIMPLEX_BUDGET,
-    FlagComplex,
     Graph,
     Simplex,
-    enumerate_simplices,
     euler_characteristic,
-    format_simplex_lines,
-    read_simplex_list,
     vr_graph,
 )
 from .errors import (
@@ -47,11 +43,8 @@ from .facets import (
 )
 from .homology import (
     BettiProfile,
-    SparseBitMatrix,
     betti_gf2,
-    boundary_matrix,
     expected_cycle_profile,
-    gf2_rank,
     homology_integer,
     smith_invariants,
 )
@@ -82,20 +75,17 @@ __all__ = [
     "FacetSet",
     "Fingerprint",
     "FiniteMetricSpace",
-    "FlagComplex",
     "GoldenRow",
     "Graph",
     "LatticePoint",
     "RunConfig",
     "Simplex",
     "SimplexBudgetError",
-    "SparseBitMatrix",
     "TruncatedComplexError",
     "UnsupportedRegimeError",
     "Window",
     "antipode_check",
     "betti_gf2",
-    "boundary_matrix",
     "brute_force_facets",
     "build_space",
     "certify_torus",
@@ -103,18 +93,14 @@ __all__ = [
     "connectivity_bound",
     "cycle_facets",
     "cycle_space",
-    "enumerate_simplices",
     "euler_characteristic",
     "expected_cycle_profile",
     "expected_torus_profile",
     "fingerprint",
-    "format_simplex_lines",
-    "gf2_rank",
     "homology_integer",
     "in_window_interior",
     "is_maximal_clique",
     "load_golden_table",
-    "read_simplex_list",
     "run_golden_row",
     "smith_invariants",
     "torus_facets",

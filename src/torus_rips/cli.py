@@ -1,4 +1,4 @@
-"""Command line front end: betti, facets, verify-table, certify."""
+"""Command line front end: betti, facets, verify-table, certify, and the facets text format."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from . import __version__
-from .complexes import DEFAULT_SIMPLEX_BUDGET, format_simplex_lines, vr_graph
+from .complexes import DEFAULT_SIMPLEX_BUDGET, Simplex, vr_graph
 from .errors import BudgetError, UnsupportedRegimeError
 from .facets import (
     FacetSet,
@@ -188,6 +188,21 @@ def _facet_oracle(args: argparse.Namespace, space: FiniteMetricSpace) -> FacetSe
     return facets
 
 
+def format_simplex_lines(simplices: Iterable[Simplex], header: dict[str, object]) -> str:
+    """The facets text format: ``# key: value`` header lines, then one simplex per line.
+
+    A simplex line holds its ascending vertex indices separated by single
+    spaces, and the lines are sorted as integer tuples.  Header values of None
+    are left out, since the format cannot write them.
+    """
+    lines = [f"# {key}: {value}" for key, value in header.items() if value is not None]
+    for sigma in sorted(simplices):
+        if list(sigma) != sorted(set(sigma)):
+            raise ValueError(f"simplex {sigma} is not strictly ascending")
+        lines.append(" ".join(str(v) for v in sigma))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_facets(args: argparse.Namespace) -> int:
     start = time.monotonic()
     space = build_space(args.space, n=args.n, window=args.window)
@@ -331,6 +346,15 @@ def _add_common(parser: argparse.ArgumentParser, *, coefficients: bool = True) -
         parser.add_argument("--coefficients", choices=COEFFICIENTS, default="gf2")
 
 
+def _add_complex(parser: argparse.ArgumentParser) -> None:
+    """The space and scale of one complex, as betti and facets take them."""
+    parser.add_argument("--space", choices=["cycle", "torus", "window"], required=True)
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--window", type=_parse_window, default=None,
+                        help="lattice window as x_min:x_max,y_min:y_max")
+    parser.add_argument("--k", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torus-rips",
@@ -341,11 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_betti = sub.add_parser("betti", help="Betti numbers of one scale-k complex")
-    p_betti.add_argument("--space", choices=["cycle", "torus", "window"], required=True)
-    p_betti.add_argument("--n", type=int, default=None)
-    p_betti.add_argument("--window", type=_parse_window, default=None,
-                         help="lattice window as x_min:x_max,y_min:y_max")
-    p_betti.add_argument("--k", type=int, required=True)
+    _add_complex(p_betti)
     p_betti.add_argument("--max-dim", type=_parse_max_dim, required=True,
                          help="top homology dimension to report, or 'full'; "
                               "enumeration goes one dimension higher")
@@ -354,11 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti.set_defaults(func=cmd_betti)
 
     p_facets = sub.add_parser("facets", help="facet catalog, brute-force oracle, or both")
-    p_facets.add_argument("--space", choices=["cycle", "torus", "window"], required=True)
-    p_facets.add_argument("--n", type=int, default=None)
-    p_facets.add_argument("--window", type=_parse_window, default=None,
-                          help="lattice window as x_min:x_max,y_min:y_max")
-    p_facets.add_argument("--k", type=int, required=True)
+    _add_complex(p_facets)
     p_facets.add_argument("--mode", choices=["closed-form", "brute", "compare"],
                           default="closed-form")
     p_facets.add_argument("--format", choices=["text", "json"], default="text")

@@ -1,4 +1,4 @@
-"""Scale graphs, clique (flag) complexes, and simplex listings.
+"""Scale graphs and their clique (flag) complexes.
 
 The scale-k graph of a finite metric space joins two vertices when their
 distance is positive and at most k; its clique complex is the Vietoris-Rips
@@ -14,8 +14,8 @@ of simplices with an extension and the dead ends.  One layer loop extends
 each subtree; it keeps the keys and extension masks of the simplices below
 max_dim that extend, and of layer max_dim only the extension masks.
 ``enumerate_simplices`` builds whole layers, one from the other, and keeps
-them: an unbounded reference listing for the tests, which library runs never
-reach.
+them in a ``FlagComplex``: the tests' unbounded reference listing, which
+library runs never reach and the package root does not export.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .errors import BudgetError, SimplexBudgetError, TruncatedComplexError
 from .spaces import FiniteMetricSpace
@@ -481,41 +481,3 @@ def euler_characteristic(counts: Iterable[int]) -> int:
     """Alternating sum of simplex counts or Betti numbers, dimension 0 first."""
     return sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
 
-
-def format_simplex_lines(
-    simplices: Iterable[Simplex], header: dict[str, object] | None = None
-) -> str:
-    """Render simplices in the one-per-line text format.
-
-    Each line carries the ascending vertex indices of one simplex separated by
-    single spaces; lines are sorted lexicographically as integer tuples.
-    Header entries become leading ``# key: value`` lines, except those whose
-    value is None, which the format cannot write.
-    """
-    lines = [f"# {key}: {value}" for key, value in (header or {}).items() if value is not None]
-    for sigma in sorted(simplices):
-        if list(sigma) != sorted(set(sigma)):
-            raise ValueError(f"simplex {sigma} is not strictly ascending")
-        lines.append(" ".join(str(v) for v in sigma))
-    return "\n".join(lines) + "\n"
-
-
-def read_simplex_list(f: TextIO) -> tuple[dict[str, str], list[Simplex]]:
-    """Parse the text format back into a header dict and a simplex list."""
-    header: dict[str, str] = {}
-    simplices: list[Simplex] = []
-    for raw in f:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
-                header[key.strip()] = value.strip()
-            continue
-        sigma = tuple(int(tok) for tok in line.split())
-        if list(sigma) != sorted(set(sigma)):
-            raise ValueError(f"malformed simplex line: {line!r}")
-        simplices.append(sigma)
-    return header, simplices

@@ -49,7 +49,7 @@ stops a larger one.
 
 ``boundary_matrix``, ``signed_boundary_columns`` and ``gf2_rank`` build and
 reduce boundary matrices in the homology direction from the vertex tuples;
-the library does not call them, and the tests use them as the reference.
+the library neither calls nor exports them: they are the tests' reference.
 ``gf2_rank`` is the front end of ``_reduce`` with modulus 2, so
 ``_free_rows`` is the library's one elimination loop; the tests check its
 rank against numpy's dense one.

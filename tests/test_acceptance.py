@@ -12,8 +12,8 @@ import random
 import time
 
 import torus_rips as tr
-from torus_rips.complexes import iter_bits
-from torus_rips.homology import signed_boundary_columns, smith_invariants
+from torus_rips.complexes import enumerate_simplices, iter_bits
+from torus_rips.homology import boundary_matrix, signed_boundary_columns, smith_invariants
 
 FIVE_MINUTES = 300.0
 HALF_HOUR = 1800.0
@@ -222,10 +222,10 @@ def test_criterion_7_structural_property_battery():
 
     # Boundary of boundary vanishes, over GF(2) and over the integers.
     for space, k, depth in [(tr.torus_space(5), 2, 4), (tr.cycle_space(9), 3, 4)]:
-        cx = tr.enumerate_simplices(tr.vr_graph(space, k), depth)
+        cx = enumerate_simplices(tr.vr_graph(space, k), depth)
         for d in range(2, cx.top_dim + 1):
-            low_gf2 = tr.boundary_matrix(cx, d - 1).columns
-            for col in tr.boundary_matrix(cx, d).columns:
+            low_gf2 = boundary_matrix(cx, d - 1).columns
+            for col in boundary_matrix(cx, d).columns:
                 acc = set()
                 for face in col:
                     acc ^= set(low_gf2[face])
@@ -244,7 +244,7 @@ def test_criterion_7_structural_property_battery():
         (tr.torus_space(4), 2), (tr.torus_space(4), 3),
         (tr.cycle_space(6), 2), (tr.cycle_space(10), 3),
     ]:
-        cx = tr.enumerate_simplices(tr.vr_graph(space, k), space.point_count - 1)
+        cx = enumerate_simplices(tr.vr_graph(space, k), space.point_count - 1)
         assert cx.complete
         profile = tr.betti_gf2(cx.graph, cx.top_dim)
         alternating = sum(b if d % 2 == 0 else -b for d, b in enumerate(profile.betti))
@@ -254,7 +254,7 @@ def test_criterion_7_structural_property_battery():
     for space, k, depth in [
         (tr.torus_space(5), 2, 3), (tr.torus_space(4), 2, 4), (tr.cycle_space(8), 3, 4),
     ]:
-        cx = tr.enumerate_simplices(tr.vr_graph(space, k), depth)
+        cx = enumerate_simplices(tr.vr_graph(space, k), depth)
         a = tr.betti_gf2(cx.graph, depth - 1)
         b = tr.homology_integer(cx.graph, depth - 1)
         assert all(t == () for t in b.torsion)
@@ -282,7 +282,7 @@ def test_criterion_7_structural_property_battery():
             for v in iter_bits(graph.masks[u]):
                 parent[find(u)] = find(v)
         components = len({find(v) for v in range(graph.vertex_count)})
-        cx = tr.enumerate_simplices(graph, 1)
+        cx = enumerate_simplices(graph, 1)
         assert tr.betti_gf2(cx.graph, 0).betti[0] == components
 
     elapsed = time.monotonic() - start

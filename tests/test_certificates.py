@@ -9,10 +9,11 @@ import random
 import pytest
 
 import torus_rips as tr
+from torus_rips.complexes import enumerate_simplices
 
 
 def torus_cx(n, k, depth):
-    return tr.enumerate_simplices(tr.vr_graph(tr.torus_space(n), k), depth)
+    return enumerate_simplices(tr.vr_graph(tr.torus_space(n), k), depth)
 
 
 def relabelled(space, seed):
@@ -122,7 +123,7 @@ class TestAntipodeCheck:
         # counts per dimension follow from that.
         graph = tr.vr_graph(tr.torus_space(4), 3)
         report = tr.antipode_check(graph)
-        cx = tr.enumerate_simplices(graph, 16)
+        cx = enumerate_simplices(graph, 16)
         forbidden = set(report.pairs)
         for layer in cx.simplices:
             for sigma in layer:

@@ -11,7 +11,6 @@ import pytest
 
 import torus_rips as tr
 from torus_rips.cli import main
-from torus_rips.complexes import read_simplex_list
 
 SCHEMA = json.loads(
     resources.files("torus_rips.data").joinpath("result_schema.json").read_text()
@@ -239,19 +238,18 @@ class TestBettiCommand:
 
 
 class TestFacetsCommand:
-    def test_text_output_roundtrips(self, capsys):
+    def test_text_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "facets", "--space", "cycle", "--n", "12", "--k", "3"
         )
         assert code == 0
-        header, simplices = read_simplex_list(io.StringIO(out))
-        assert header["space"] == "cycle 12"
-        assert header["n"] == "12"
-        assert header["k"] == "3"
-        assert header["dim"] == "3"
-        # n = 12 > 3k = 9: the arcs are the only facets, one per vertex.
-        assert len(simplices) == 12
-        assert simplices == sorted(simplices)
+        # n = 12 > 3k = 9: the arcs are the only facets, one per vertex, in
+        # the lexicographic order of their vertex tuples.
+        assert out == (
+            "# space: cycle 12\n# n: 12\n# k: 3\n# dim: 3\n"
+            "0 1 2 3\n0 1 2 11\n0 1 10 11\n0 9 10 11\n1 2 3 4\n2 3 4 5\n"
+            "3 4 5 6\n4 5 6 7\n5 6 7 8\n6 7 8 9\n7 8 9 10\n8 9 10 11\n"
+        )
 
     def test_json_closed_form(self, capsys):
         code, payload, _ = run_json(
@@ -294,16 +292,17 @@ class TestFacetsCommand:
     def test_window_does_not_echo_n(self, capsys):
         argv = ("facets", "--space", "window", "--window=-5:5,-5:5", "--n", "5",
                 "--k", "2")
-        code, payload, _ = run_json(capsys, *argv, "--format", "json")
+        code, listing, _ = run_json(capsys, *argv, "--format", "json")
         assert code == 0
-        assert payload["n"] is None
+        assert listing["n"] is None
         code, payload, _ = run_json(capsys, *argv, "--mode", "compare")
         assert (code, payload["n"], payload["identical"]) == (0, None, True)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        header = read_simplex_list(io.StringIO(out))[0]
-        assert "n" not in header
-        assert header["space"] == "window -5:5,-5:5"
+        # The text header leaves n out, and the lines are the JSON listing's facets.
+        header = ["# space: window -5:5,-5:5", "# k: 2", "# dim: 4"]
+        simplices = [" ".join(map(str, sigma)) for sigma in listing["facets"]]
+        assert out.splitlines() == header + simplices
 
     def test_unsupported_regime_exit(self, capsys):
         code, _, err = run_cli(

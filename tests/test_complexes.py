@@ -1,6 +1,6 @@
-"""Tests for scale graphs, clique enumeration, and GF(2) boundary matrices."""
+"""Tests for scale graphs, clique enumeration, GF(2) boundary matrices and the
+facets text format."""
 
-import io
 import itertools
 import math
 import random
@@ -12,12 +12,20 @@ from hypothesis import strategies as st
 
 import torus_rips as tr
 from coboundary_reference import clique_layers
-from torus_rips.complexes import collapse_edges, degeneracy_order, iter_bits, scan_clique_tree
+from torus_rips.cli import format_simplex_lines
+from torus_rips.complexes import (
+    collapse_edges,
+    degeneracy_order,
+    enumerate_simplices,
+    iter_bits,
+    scan_clique_tree,
+)
 from torus_rips.errors import (
     BudgetError,
     SimplexBudgetError,
     TruncatedComplexError,
 )
+from torus_rips.homology import boundary_matrix
 
 
 def clique_oracle(graph, max_size):
@@ -437,7 +445,7 @@ class TestEnumerateSimplices:
     def test_cycle_six_scale_two_counts(self):
         # Six triangles of consecutive vertices plus the two "long" triangles
         # {0,2,4} and {1,3,5}; no tetrahedra.  Euler characteristic 2.
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(6), 2), 5)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(6), 2), 5)
         assert cx.counts == (6, 12, 8)
         assert cx.complete
         assert tr.euler_characteristic(cx.counts) == 2
@@ -457,7 +465,7 @@ class TestEnumerateSimplices:
     )
     def test_matches_brute_force_cliques(self, space, k):
         graph = tr.vr_graph(space, k)
-        cx = tr.enumerate_simplices(graph, 4)
+        cx = enumerate_simplices(graph, 4)
         for keys, layer in zip(cx.keys, cx.simplices):
             assert len(keys) == len(layer)
             for key, sigma in zip(keys, layer):
@@ -488,7 +496,7 @@ class TestEnumerateSimplices:
         # At one below its diameter the 4x4 torus grid drops only antipodal
         # pairs, so the complex is the boundary of the 8-dimensional
         # cross-polytope: 2^(d+1) * C(8, d+1) simplices in dimension d.
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(4), 3), 16)
+        cx = enumerate_simplices(tr.vr_graph(tr.torus_space(4), 3), 16)
         assert cx.top_dim == 7
         assert cx.complete
         for d in range(8):
@@ -497,15 +505,15 @@ class TestEnumerateSimplices:
 
     def test_layers_are_sorted_and_deterministic(self):
         graph = tr.vr_graph(tr.torus_space(5), 2)
-        cx1 = tr.enumerate_simplices(graph, 4)
-        cx2 = tr.enumerate_simplices(graph, 4)
+        cx1 = enumerate_simplices(graph, 4)
+        cx2 = enumerate_simplices(graph, 4)
         assert cx1.simplices == cx2.simplices
         for layer in cx1.simplices:
             assert list(layer) == sorted(layer)
             assert all(list(s) == sorted(set(s)) for s in layer)
 
     def test_faces_of_every_simplex_are_listed(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(8), 3), 4)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(8), 3), 4)
         for d in range(1, cx.top_dim + 1):
             below = set(cx.simplices[d - 1])
             for sigma in cx.simplices[d]:
@@ -514,21 +522,21 @@ class TestEnumerateSimplices:
 
     def test_truncation_is_detected(self):
         graph = tr.vr_graph(tr.torus_space(5), 2)
-        cx = tr.enumerate_simplices(graph, 1)
+        cx = enumerate_simplices(graph, 1)
         assert not cx.complete
         assert cx.count_at(1) == cx.counts[1]
         with pytest.raises(TruncatedComplexError):
             cx.count_at(2)
 
     def test_complete_count_at_beyond_top(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(6), 2), 9)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(6), 2), 9)
         assert cx.complete
         assert cx.count_at(3) == 0
         assert cx.count_at(9) == 0
 
     def test_rejects_negative_max_dim(self):
         with pytest.raises(ValueError):
-            tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), -1)
+            enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), -1)
 
     def test_isometry_invariance(self):
         # Composing a quarter turn with a translation is an isometry of the
@@ -549,8 +557,8 @@ class TestEnumerateSimplices:
             label="twisted torus 5",
         )
         for k in (1, 2, 3):
-            cx_a = tr.enumerate_simplices(tr.vr_graph(base, k), 3)
-            cx_b = tr.enumerate_simplices(tr.vr_graph(twisted, k), 3)
+            cx_a = enumerate_simplices(tr.vr_graph(base, k), 3)
+            cx_b = enumerate_simplices(tr.vr_graph(twisted, k), 3)
             assert cx_a.counts == cx_b.counts
             assert cx_a.complete == cx_b.complete
 
@@ -708,17 +716,17 @@ class TestBoundaryMatrix:
     def test_small_example(self):
         # Path 0-1-2: two edges sharing vertex 1.
         g = tr.Graph.from_edges(3, [(0, 1), (1, 2)])
-        cx = tr.enumerate_simplices(g, 2)
-        mat = tr.boundary_matrix(cx, 1)
+        cx = enumerate_simplices(g, 2)
+        mat = boundary_matrix(cx, 1)
         assert mat.n_rows == 3
         assert mat.n_cols == 2
         assert mat.columns == ((0, 1), (1, 2))
 
     def test_boundary_of_boundary_is_zero(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 4)
+        cx = enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 4)
         for d in range(2, cx.top_dim + 1):
-            low = tr.boundary_matrix(cx, d - 1)
-            high = tr.boundary_matrix(cx, d)
+            low = boundary_matrix(cx, d - 1)
+            high = boundary_matrix(cx, d)
             for col in high.columns:
                 acc = set()
                 for face in col:
@@ -726,39 +734,32 @@ class TestBoundaryMatrix:
                 assert not acc
 
     def test_rejects_out_of_range_dimension(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(5), 1), 3)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(5), 1), 3)
         with pytest.raises(ValueError):
-            tr.boundary_matrix(cx, 0)
+            boundary_matrix(cx, 0)
         with pytest.raises(ValueError):
-            tr.boundary_matrix(cx, cx.top_dim + 1)
+            boundary_matrix(cx, cx.top_dim + 1)
 
 
 class TestTextFormat:
-    def test_roundtrip(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(7), 2), 3)
-        text = tr.format_simplex_lines(
-            cx.simplices[2], header={"space": "cycle 7", "k": 2, "dim": 2}
+    def test_header_and_lines(self):
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(7), 2), 3)
+        text = format_simplex_lines(
+            cx.simplices[2], header={"space": "cycle 7", "n": None, "k": 2, "dim": 2}
         )
-        header, simplices = tr.read_simplex_list(io.StringIO(text))
-        assert header == {"space": "cycle 7", "k": "2", "dim": "2"}
-        assert simplices == sorted(cx.simplices[2])
+        # n = 7 > 3k = 6: the triangles are the seven arcs of three vertices.
+        assert text == (
+            "# space: cycle 7\n# k: 2\n# dim: 2\n"
+            "0 1 2\n0 1 6\n0 5 6\n1 2 3\n2 3 4\n3 4 5\n4 5 6\n"
+        )
 
     def test_lines_are_sorted(self):
-        text = tr.format_simplex_lines([(2, 5), (0, 3), (0, 1)])
+        text = format_simplex_lines([(2, 5), (0, 3), (0, 1)], {})
         assert text == "0 1\n0 3\n2 5\n"
 
     def test_rejects_unsorted_simplex(self):
         with pytest.raises(ValueError):
-            tr.format_simplex_lines([(3, 1)])
-        with pytest.raises(ValueError):
-            tr.read_simplex_list(io.StringIO("1 1\n"))
-
-    def test_blank_lines_and_plain_comments_skipped(self):
-        header, simplices = tr.read_simplex_list(
-            io.StringIO("# note without colon\n\n# k: 3\n0 2\n")
-        )
-        assert header == {"k": "3"}
-        assert simplices == [(0, 2)]
+            format_simplex_lines([(3, 1)], {})
 
 
 def test_iter_bits():

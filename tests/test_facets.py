@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import torus_rips as tr
 from bron_kerbosch_reference import reference_facets
 from torus_rips import facets as facets_module
+from torus_rips.complexes import enumerate_simplices
 from torus_rips.errors import BudgetError, UnsupportedRegimeError
 from torus_rips.facets import _diamonds
 
@@ -288,7 +289,7 @@ class TestBruteForceFacets:
     def test_matches_maximal_enumerated_cliques(self, graph):
         # Independent of the pivot rule: every clique is listed, then the
         # ones some common neighbour extends are dropped.
-        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        cx = enumerate_simplices(graph, graph.vertex_count - 1)
         want = {
             sigma for layer in cx.simplices for sigma in layer
             if tr.is_maximal_clique(graph, sigma)

@@ -13,11 +13,13 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import torus_rips as tr
 from coboundary_reference import clique_layers
-from torus_rips.complexes import iter_bits
+from torus_rips.complexes import FlagComplex, enumerate_simplices, iter_bits
 from torus_rips.errors import BudgetError, SimplexBudgetError
 from torus_rips.homology import (
     _common_neighbours,
     _dense_snf_diagonal,
+    boundary_matrix,
+    gf2_rank,
     signed_boundary_columns,
     smith_invariants,
 )
@@ -68,7 +70,7 @@ def homology_direction_betti(cx, max_dim):
     """GF(2) Betti numbers from dense numpy ranks of the boundary matrices."""
     ranks = [0] * (max_dim + 2)
     for d in range(1, min(max_dim + 1, cx.top_dim) + 1):
-        mat = tr.boundary_matrix(cx, d)
+        mat = boundary_matrix(cx, d)
         ranks[d] = dense_gf2_rank(mat.n_rows, mat.columns)
     return tuple(cx.count_at(d) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
@@ -182,7 +184,7 @@ def random_graph_complexes(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    cx = tr.enumerate_simplices(tr.Graph.from_edges(n, edges), n - 1)
+    cx = enumerate_simplices(tr.Graph.from_edges(n, edges), n - 1)
     return cx, cx.top_dim
 
 
@@ -191,7 +193,7 @@ def relabelled_torus_complexes(draw):
     """A small torus complex whose vertices are renamed by a seeded permutation."""
     n, k = draw(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    cx = tr.enumerate_simplices(relabelled(tr.vr_graph(tr.torus_space(n), k), seed), 8)
+    cx = enumerate_simplices(relabelled(tr.vr_graph(tr.torus_space(n), k), seed), 8)
     return cx, cx.top_dim
 
 
@@ -207,7 +209,7 @@ def relabelled_torsion_complexes(draw):
     if draw(st.booleans()):
         graph = suspension(graph)
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    cx = tr.enumerate_simplices(relabelled(graph, seed), graph.vertex_count - 1)
+    cx = enumerate_simplices(relabelled(graph, seed), graph.vertex_count - 1)
     return cx, cx.top_dim
 
 
@@ -216,16 +218,16 @@ def truncated_complexes(draw):
     """A complex cut off below its top, reported below its last enumerated dimension."""
     n, k = draw(st.sampled_from([(4, 2), (5, 2), (6, 2), (7, 2)]))
     depth = draw(st.integers(min_value=1, max_value=3))
-    cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(n), k), depth)
+    cx = enumerate_simplices(tr.vr_graph(tr.torus_space(n), k), depth)
     return cx, draw(st.integers(min_value=0, max_value=cx.top_dim - 1))
 
 
 class TestGf2Rank:
     def test_examples(self):
-        assert tr.gf2_rank([(0,), (1,), (2,)])[0] == 3
-        assert tr.gf2_rank([(0, 1), (1, 2), (0, 2)])[0] == 2
-        assert tr.gf2_rank([(), ()])[0] == 0
-        rank, pivots = tr.gf2_rank([(0, 1), (1,)])
+        assert gf2_rank([(0,), (1,), (2,)])[0] == 3
+        assert gf2_rank([(0, 1), (1, 2), (0, 2)])[0] == 2
+        assert gf2_rank([(), ()])[0] == 0
+        rank, pivots = gf2_rank([(0, 1), (1,)])
         assert rank == 2
         assert pivots == {0, 1}
 
@@ -248,12 +250,12 @@ class TestGf2Rank:
     def test_matches_dense_oracle(self, case):
         n_rows, columns = case
         cols = [tuple(sorted(c)) for c in columns]
-        assert tr.gf2_rank(cols)[0] == dense_gf2_rank(n_rows, cols)
+        assert gf2_rank(cols)[0] == dense_gf2_rank(n_rows, cols)
 
 
 class TestBettiGf2:
     def test_square_is_a_circle(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 3)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 3)
         profile = tr.betti_gf2(cx.graph, 1)
         assert profile.betti == (1, 1)
         assert profile.coefficients == "gf2"
@@ -261,15 +263,15 @@ class TestBettiGf2:
         assert profile.truncated_at is None
 
     def test_cycle_six_scale_two_is_a_sphere(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(6), 2), 5)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(6), 2), 5)
         assert tr.betti_gf2(cx.graph, 2).betti == (1, 0, 1)
 
     def test_scale_zero_counts_components(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(7), 0), 1)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(7), 0), 1)
         assert tr.betti_gf2(cx.graph, 0).betti == (7,)
 
     def test_truncated_profile_has_no_euler(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 2)
+        cx = enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 2)
         profile = tr.betti_gf2(cx.graph, 1)
         assert profile.euler is None
         assert profile.truncated_at == 1
@@ -277,7 +279,7 @@ class TestBettiGf2:
         assert not profile.covers(2)
 
     def test_depth_beyond_top_of_complete_complex(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 9)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 9)
         profile = tr.betti_gf2(cx.graph, 5)
         assert profile.betti == (1, 1, 0, 0, 0, 0)
         assert profile.truncated_at is None
@@ -289,7 +291,7 @@ class TestBettiGf2:
             (tr.torus_space(4), 2, 5),
             (tr.torus_space(4), 3, 8),
         ]:
-            cx = tr.enumerate_simplices(tr.vr_graph(space, k), depth)
+            cx = enumerate_simplices(tr.vr_graph(space, k), depth)
             assert cx.complete
             profile = tr.betti_gf2(cx.graph, cx.top_dim)
             alternating = sum(
@@ -308,7 +310,7 @@ class TestBettiGf2:
                 if rng.random() < 0.45
             ]
             graph = tr.Graph.from_edges(n, edges)
-            cx = tr.enumerate_simplices(graph, n - 1)
+            cx = enumerate_simplices(graph, n - 1)
             assert cx.complete
             profile = tr.betti_gf2(cx.graph, cx.top_dim)
             assert profile.betti == homology_direction_betti(cx, cx.top_dim)
@@ -323,7 +325,7 @@ class TestBettiGf2:
         assert tr.betti_gf2(cx.graph, max_dim).betti == homology_direction_betti(cx, max_dim)
 
     def test_deadline_already_passed(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
+        cx = enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
         with pytest.raises(BudgetError):
             tr.betti_gf2(cx.graph, 2, deadline=time.monotonic() - 1.0)
         config = tr.RunConfig(max_dim=2, time_budget_secs=0.0)
@@ -348,7 +350,7 @@ class TestBettiGf2:
         # integer operations without the mod-2 step would lose both, and no
         # GF(2) dimension may reach the integer Smith normal form.
         graph = projective_plane_subdivision()
-        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        cx = enumerate_simplices(graph, graph.vertex_count - 1)
         profile = tr.betti_gf2(cx.graph, 2)
         assert profile.betti == (1, 1, 1) == homology_direction_betti(cx, 2)
         assert profile.torsion == ((), (), ())
@@ -357,11 +359,11 @@ class TestBettiGf2:
     def test_component_count_on_torus_scales(self):
         for n, k in [(4, 0), (6, 1), (5, 2)]:
             graph = tr.vr_graph(tr.torus_space(n), k)
-            cx = tr.enumerate_simplices(graph, 1)
+            cx = enumerate_simplices(graph, 1)
             assert tr.betti_gf2(cx.graph, 0).betti[0] == component_count(graph)
 
     def test_rejects_negative_dimension(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 2)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 2)
         with pytest.raises(ValueError):
             tr.betti_gf2(cx.graph, -1)
 
@@ -369,13 +371,13 @@ class TestBettiGf2:
 class TestSignedBoundary:
     def test_signs_alternate(self):
         g = tr.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        cx = tr.enumerate_simplices(g, 2)
+        cx = enumerate_simplices(g, 2)
         (col,) = signed_boundary_columns(cx, 2)
         edges = {s: i for i, s in enumerate(cx.simplices[1])}
         assert col == {edges[(1, 2)]: 1, edges[(0, 2)]: -1, edges[(0, 1)]: 1}
 
     def test_boundary_of_boundary_is_zero(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(4), 2), 4)
+        cx = enumerate_simplices(tr.vr_graph(tr.torus_space(4), 2), 4)
         for d in range(2, cx.top_dim + 1):
             low = signed_boundary_columns(cx, d - 1)
             for col in signed_boundary_columns(cx, d):
@@ -386,7 +388,7 @@ class TestSignedBoundary:
                 assert all(v == 0 for v in acc.values())
 
     def test_rejects_out_of_range(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(5), 1), 2)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(5), 1), 2)
         with pytest.raises(ValueError):
             signed_boundary_columns(cx, 0)
 
@@ -500,7 +502,7 @@ class TestSmithInvariants:
 
 class TestHomologyInteger:
     def test_square_is_a_circle(self):
-        cx = tr.enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 3)
+        cx = enumerate_simplices(tr.vr_graph(tr.cycle_space(4), 1), 3)
         profile = tr.homology_integer(cx.graph, 1)
         assert profile.coefficients == "integer"
         assert profile.betti == (1, 1)
@@ -541,7 +543,7 @@ class TestHomologyInteger:
             (tr.cycle_space(9), 3, 3),
             (tr.torus_space(12), 5, 3),
         ]:
-            cx = tr.enumerate_simplices(tr.vr_graph(space, k), depth)
+            cx = enumerate_simplices(tr.vr_graph(space, k), depth)
             a = tr.betti_gf2(cx.graph, depth - 1)
             b = tr.homology_integer(cx.graph, depth - 1)
             assert all(t == () for t in b.torsion)
@@ -551,7 +553,7 @@ class TestHomologyInteger:
         # The dense Smith core is refused before it is allocated when it
         # would hold more than _DENSE_CORE_LIMIT entries.
         graph = projective_plane_subdivision()
-        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        cx = enumerate_simplices(graph, graph.vertex_count - 1)
         monkeypatch.setattr(tr.homology, "_DENSE_CORE_LIMIT", 0)
         with pytest.raises(BudgetError, match=r"dense Smith normal form core of 1 x 1"):
             tr.homology_integer(cx.graph, 2)
@@ -562,7 +564,7 @@ class TestHomologyInteger:
         # pivots alone can produce: the one residual column of dimension 1,
         # and no other, must reach the dense Smith core, on one row.
         graph = projective_plane_subdivision()
-        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        cx = enumerate_simplices(graph, graph.vertex_count - 1)
         assert cx.complete and cx.counts == (31, 90, 60)
         profile = tr.homology_integer(cx.graph, 2)
         assert profile.betti == (1, 0, 0)
@@ -580,7 +582,7 @@ class TestHomologyInteger:
         # all its unit pivots clear dimension 2 before that dimension meets
         # its non-unit entry.
         graph = suspension(projective_plane_subdivision())
-        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        cx = enumerate_simplices(graph, graph.vertex_count - 1)
         assert cx.complete and cx.counts == (33, 152, 240, 120)
         profile = tr.homology_integer(cx.graph, 3)
         assert profile.betti == (1, 0, 0, 0)
@@ -626,7 +628,7 @@ class TestHomologyInteger:
     def test_boundary_invariants_match_sympy(self, graph):
         # The homology-direction reference shares its elimination with the
         # reducer, so sympy checks it on every boundary of the torsion cases.
-        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        cx = enumerate_simplices(graph, graph.vertex_count - 1)
         assert cx.complete
         for d in range(1, cx.top_dim + 1):
             columns = signed_boundary_columns(cx, d)
@@ -661,7 +663,7 @@ class TestHomologyInteger:
         # entries in unit pivot rows: alone it has no factor 2, and only
         # once reduced against those pivots does it keep the torsion.
         graph = with_midpoint_chord(projective_plane_subdivision())
-        cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+        cx = enumerate_simplices(graph, graph.vertex_count - 1)
         assert cx.complete and cx.counts == (31, 91, 61)
         profile = tr.homology_integer(cx.graph, 2)
         assert (profile.betti, profile.torsion) == ((1, 0, 0), ((), (2,), ()))
@@ -707,18 +709,18 @@ class TestHomologyInteger:
 def test_reducers_never_read_vertex_tuples(monkeypatch):
     # Both rings reduce FlagComplex.keys alone, the integer residual core
     # included; the tuple view serves listings and the references.
-    torus_cx = tr.enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
+    torus_cx = enumerate_simplices(tr.vr_graph(tr.torus_space(5), 2), 3)
     want_gf2 = homology_direction_betti(torus_cx, 2)
     want_integer = homology_direction_integer(torus_cx, 2)
     graph = projective_plane_subdivision()
-    rp2_cx = tr.enumerate_simplices(graph, graph.vertex_count - 1)
+    rp2_cx = enumerate_simplices(graph, graph.vertex_count - 1)
     want_rp2 = homology_direction_integer(rp2_cx, 2)
     assert want_rp2 == ((1, 0, 0), ((), (2,), ()))
 
     def refuse(cx):
         raise AssertionError("a reducer read FlagComplex.simplices")
 
-    monkeypatch.setattr(tr.FlagComplex, "simplices", property(refuse))
+    monkeypatch.setattr(FlagComplex, "simplices", property(refuse))
     with pytest.raises(AssertionError):
         rp2_cx.simplices
     gf2, _ = tr.compute_profile(tr.torus_space(5), 2, tr.RunConfig(max_dim=2))
@@ -776,7 +778,7 @@ def graphs_and_depths(draw):
         n, k = draw(st.sampled_from([(3, 1), (4, 1), (4, 2), (5, 1), (5, 2)]))
         seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
         graph = relabelled(tr.vr_graph(tr.torus_space(n), k), seed)
-    top = tr.enumerate_simplices(graph, graph.vertex_count - 1).top_dim
+    top = enumerate_simplices(graph, graph.vertex_count - 1).top_dim
     max_dim = max(0, top + draw(st.integers(min_value=-2, max_value=2)))
     return graph, max_dim, draw(st.sampled_from(["gf2", "integer"]))
 
@@ -787,7 +789,7 @@ def test_stream_matches_enumerated_reference(case):
     # The reference enumerates two dimensions above max_dim: the second one
     # settles whether the complex ends within one dimension of max_dim.
     graph, max_dim, ring = case
-    cx = tr.enumerate_simplices(graph, max_dim + 2)
+    cx = enumerate_simplices(graph, max_dim + 2)
     if ring == "gf2":
         profile = tr.betti_gf2(graph, max_dim)
         betti, torsion = homology_direction_betti(cx, max_dim), ((),) * (max_dim + 1)
