@@ -90,7 +90,7 @@ class Graph:
 
 
 def _check_deadline(deadline: float | None, doing: str) -> None:
-    """The module's one clock reading: raise BudgetError once a deadline has passed."""
+    """The library's one clock reading: raise BudgetError once a deadline has passed."""
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetError(f"time budget exceeded {doing}")
 

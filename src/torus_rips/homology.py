@@ -33,7 +33,8 @@ divisibility.  ``smith_invariants`` is the same reducer behind a front end
 that checks its rows.  Python ints cannot overflow; torsion is read off
 exactly.
 
-The deadline is read by ``_reduce`` alone while columns are drawn: before
+The deadline is read through ``complexes._check_deadline``, the library's
+one clock reader, by ``_reduce`` alone while columns are drawn: before
 column 0, every ``_DEADLINE_CHUNK`` columns after it and before each
 residual column, with the stage named in the BudgetError.  The dense
 finish reads it once per elimination round.
@@ -58,14 +59,13 @@ rank against numpy's dense one.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import (_DEADLINE_CHUNK, DEFAULT_SIMPLEX_BUDGET, FlagComplex, Graph,
-                        euler_characteristic, scan_clique_tree)
+                        _check_deadline, euler_characteristic, scan_clique_tree)
 from .errors import BudgetError
 
 # Most entries of the dense Smith core (live rows x live columns).  Measured
@@ -212,8 +212,7 @@ def _dense_snf_diagonal(m: list[list[int]], deadline: float | None = None) -> li
     """
     diagonal = []
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("time budget exceeded during dense Smith normal form")
+        _check_deadline(deadline, "during dense Smith normal form")
         flat = list(map(abs, chain.from_iterable(m)))
         least = min(filter(None, flat), default=0)
         if not least:
@@ -377,14 +376,13 @@ def _reduce(columns: Iterable[dict[int, int]], pivots: dict, modulus: int,
     """
     residual: list[dict[int, int]] = []
     for j, col in enumerate(columns):
-        if deadline is not None and j % _DEADLINE_CHUNK == 0 and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during {stage} at column {j}")
+        if deadline is not None and j % _DEADLINE_CHUNK == 0:
+            _check_deadline(deadline, f"during {stage} at column {j}")
         _add_column(col, pivots, residual, modulus)
     if not residual:
         return len(pivots), ()
     for i, col in enumerate(residual):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError(f"time budget exceeded during {stage} at residual {i}")
+        _check_deadline(deadline, f"during {stage} at residual {i}")
         for _ in _free_rows(col, pivots, modulus):
             pass
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -630,18 +633,59 @@ class TestParser:
         assert "invalid" not in err
 
 
-FIXTURE_DIR = Path(__file__).parent / "data" / "cli"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_DIR = ROOT / "tests" / "data" / "cli"
+
+
+def source_cli(argv):
+    """Run arguments for ``python -S -m torus_rips.cli argv`` on the checkout's ``src``.
+
+    -S leaves site-packages off the path, so a test dependency imported by
+    the library fails the run; the budget variables are removed so that only
+    argv sets a budget.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SIMPLEX_BUDGET", "TIME_BUDGET_SECS")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return {"args": [sys.executable, "-S", "-m", "torus_rips.cli", *argv],
+            "env": env, "cwd": ROOT}
 
 
 @pytest.mark.parametrize(
     "fixture", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem
 )
-def test_output_matches_fixture(capsys, monkeypatch, fixture):
-    """Stdout, stderr and exit code of a --no-timing run equal the stored bytes."""
-    monkeypatch.delenv("SIMPLEX_BUDGET", raising=False)
-    monkeypatch.delenv("TIME_BUDGET_SECS", raising=False)
+def test_output_matches_fixture(fixture):
+    """Exit code, stdout and stderr of a --no-timing process equal the stored bytes."""
     expected = json.loads(fixture.read_text(encoding="utf-8"))
-    code, out, err = run_cli(capsys, *expected["argv"])
-    assert out == expected["stdout"]
-    assert err == expected["stderr"]
-    assert code == expected["exit_code"]
+    assert list(expected) == ["argv", "exit_code", "stdout", "stderr"]
+    assert "--no-timing" in expected["argv"]
+    child = subprocess.run(**source_cli(expected["argv"]), capture_output=True, timeout=60)
+    assert child.stdout.decode() == expected["stdout"]
+    assert child.stderr.decode() == expected["stderr"]
+    assert child.returncode == expected["exit_code"]
+
+
+# A child of this process would report this process's peak as well: Linux
+# keeps the high-water mark of the address space that exec replaces, and a
+# fork or vfork child starts from this one's.  So a small python -S process
+# starts the run and prints the run's own ru_maxrss (KiB on Linux), read
+# through os.wait4, to stderr; RUSAGE_CHILDREN would give the largest of
+# every child it waited for.
+PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_torus11_k6_d4_peak_rss_under_64_mib():
+    run = source_cli(["betti", "--space", "torus", "--n", "11", "--k", "6", "--max-dim", "4",
+                      "--no-timing"])
+    run["args"] = [sys.executable, "-S", "-c", PEAK_RSS, *run["args"]]
+    child = subprocess.run(**run, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    peak = int(child.stderr) / 1024
+    assert peak < 64, f"peak RSS {peak:.1f} MiB, over 64 MiB"

@@ -160,21 +160,33 @@ def dense_cores(monkeypatch):
 
 @pytest.fixture
 def reducer_clock(monkeypatch):
-    """A clock that ticks once per reading of the reducer; the enumeration's never passes."""
+    """A clock that ticks once per reading of the reducer; the enumeration's never passes.
+
+    Both read it through ``complexes._check_deadline``; the reducer's
+    readings are the calls from ``homology``.
+    """
 
     class Clock:
         ticks = 0
+        reducer = False
 
         def monotonic(self):
+            if not Clock.reducer:
+                return float("-inf")
             Clock.ticks += 1
             return Clock.ticks
 
-    class Stopped:
-        def monotonic(self):
-            return float("-inf")
+    check = tr.complexes._check_deadline
 
-    monkeypatch.setattr(tr.homology, "time", Clock())
-    monkeypatch.setattr(tr.complexes, "time", Stopped())
+    def reducer_check(deadline, doing):
+        Clock.reducer = True
+        try:
+            check(deadline, doing)
+        finally:
+            Clock.reducer = False
+
+    monkeypatch.setattr(tr.complexes, "time", Clock())
+    monkeypatch.setattr(tr.homology, "_check_deadline", reducer_check)
     return Clock
 
 
