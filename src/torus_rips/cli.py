@@ -230,7 +230,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
     facet_set = (
         _facet_catalog(args) if args.mode == "closed-form" else _facet_oracle(args, space)
     )
-    facets = sorted(facet_set.facets)
+    facets = list(facet_set)
     if args.format == "json":
         payload = _payload(
             "facets-list", start, args, None,

@@ -6,14 +6,17 @@ regimes, and for torus grids in the regimes implemented here.  Every plane
 facet is an integer translate of one of two fixed point sets per scale (see
 ``_diamonds``): the window catalog keeps the translates inside the window's
 interior, and the torus catalog lays both sets at all n * n translates
-mod n.  Each catalog returns plain vertex-index simplices so it can be
-compared verbatim against the Bron-Kerbosch oracle.
+mod n.  Like the oracle, each catalog holds a facet as a vertex bitmask
+(bit v set iff v is in it) and builds it by shifting one stencil mask, so
+the two sets compare as ints; ``FacetSet`` decodes ascending vertex tuples
+only for listings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator
 
 from .complexes import Graph, Simplex, iter_bits
 from .errors import BudgetError, UnsupportedRegimeError
@@ -24,22 +27,24 @@ BRUTE_FORCE_VERTEX_BUDGET = 2000
 
 @dataclass(frozen=True)
 class FacetSet:
-    """An immutable set of facets, iterated in sorted order."""
+    """An immutable set of facet bitmasks, iterated as ascending vertex tuples in sorted order."""
 
-    facets: frozenset[Simplex]
+    facets: frozenset[int]
 
     def __len__(self) -> int:
         return len(self.facets)
 
     def __iter__(self) -> Iterator[Simplex]:
-        return iter(sorted(self.facets))
+        return iter(sorted(tuple(iter_bits(mask)) for mask in self.facets))
 
     def symmetric_difference(self, other: "FacetSet") -> tuple[list[Simplex], list[Simplex]]:
-        """Facets only in self and only in other, both sorted."""
-        return (
-            sorted(self.facets - other.facets),
-            sorted(other.facets - self.facets),
-        )
+        """Facets only in self and only in other, as sorted ascending tuples."""
+        return list(FacetSet(self.facets - other.facets)), list(FacetSet(other.facets - self.facets))
+
+
+def _rotate(mask: int, shift: int, width: int) -> int:
+    """A width-bit mask rotated up by shift bits, 0 <= shift < width."""
+    return (mask << shift | mask >> width - shift) & ((1 << width) - 1)
 
 
 def _diamonds(k: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
@@ -70,9 +75,9 @@ def z2_facets_in_window(window: Window, k: int) -> FacetSet:
     Only facets lying at least ceil(k/2) away from the window boundary are
     returned; everything nearer the edge is truncated by the window and is
     not a facet of the full plane.  They are the translates of the two
-    stencils of ``_diamonds`` that fit inside that interior box, given as
-    window-index simplices.  The window must be at least 2k + 3 on each side
-    so that an interior region exists.
+    stencils of ``_diamonds`` that fit inside that interior box, each one
+    stencil mask shifted by its base index.  The window must be at least
+    2k + 3 on each side so that an interior region exists.
     """
     if k < 1:
         raise ValueError(f"scale must be at least 1, got {k}")
@@ -83,51 +88,45 @@ def z2_facets_in_window(window: Window, k: int) -> FacetSet:
             f"need at least {side} on each side"
         )
     margin = (k + 1) // 2
-    ix_lo, ix_hi = window.x_min + margin, window.x_max - margin
-    iy_lo, iy_hi = window.y_min + margin, window.y_max - margin
-
     height = window.height
     facets = set()
     for stencil in _diamonds(k):
-        xs = [dx for dx, _ in stencil]
-        ys = [dy for _, dy in stencil]
-        # The stencil ascends in (dx, dy) and |dy| <= k < height, so its index
-        # offsets ascend too and every translate comes out sorted.
-        offsets = [dx * height + dy for dx, dy in stencil]
-        for a in range(ix_lo - min(xs), ix_hi - max(xs) + 1):
-            for b in range(iy_lo - min(ys), iy_hi - max(ys) + 1):
-                base = (a - window.x_min) * height + (b - window.y_min)
-                facets.add(tuple(base + o for o in offsets))
+        xs, ys = zip(*stencil)
+        # The stencil's bounding box at the window origin, shifted by a * height + b.
+        shape = sum(1 << (dx - min(xs)) * height + dy - min(ys) for dx, dy in stencil)
+        for a in range(margin, window.width - margin - max(xs) + min(xs)):
+            for b in range(margin, height - margin - max(ys) + min(ys)):
+                facets.add(shape << a * height + b)
     return FacetSet(facets=frozenset(facets))
 
 
-def in_window_interior(window: Window, k: int, simplex: Sequence[int]) -> bool:
-    """True when every vertex of a window-index simplex is ceil(k/2) off the boundary.
-
-    Raises ValueError for an index outside the window.
-    """
+@lru_cache(maxsize=8)
+def _interior(window: Window, k: int) -> int:
+    """The mask of the window indices at least ceil(k/2) off the boundary."""
     margin = (k + 1) // 2
-    height = window.height
-    x_hi = window.width - 1 - margin
-    y_hi = height - 1 - margin
-    for idx in simplex:
-        # dx and dy are x - x_min and y - y_min; only an index outside the
-        # window takes dx out of 0..width - 1.
-        dx, dy = divmod(idx, height)
-        if not (margin <= dx <= x_hi and margin <= dy <= y_hi):
-            if not 0 <= dx < window.width:
-                raise ValueError(f"index {idx} out of range for window {window}")
-            return False
-    return True
+    column = (1 << max(window.height - 2 * margin, 0)) - 1 << margin
+    return sum(column << dx * window.height for dx in range(margin, window.width - margin))
 
 
-def _axis_facets(n: int, k: int) -> set[Simplex] | None:
-    """Facets of the scale-k complex of the n-cycle other than its arcs.
+def in_window_interior(window: Window, k: int, mask: int) -> bool:
+    """True when every vertex of a window-index mask is ceil(k/2) off the boundary.
+
+    Raises ValueError for a mask with a bit at or past the window's width * height.
+    """
+    size = window.width * window.height
+    if mask >> size:
+        raise ValueError(f"mask {mask:#x} has an index out of range for the {size} "
+                         f"vertices of window {window}")
+    return not mask & ~_interior(window, k)
+
+
+def _axis_facets(n: int, k: int) -> set[int] | None:
+    """Facets of the scale-k complex of the n-cycle other than its arcs, as n-bit masks.
 
     Empty for n > 3k; the rotations of the offsets (0, k, 2k) for n = 3k
-    with k >= 2, and of (0, k, 2k - 1, 2k) for n = 3k - 1 with k >= 3, as
-    ascending tuples; None in every other regime.  The torus catalog lays
-    each of them along every row and every column.
+    with k >= 2, and of (0, k, 2k - 1, 2k) for n = 3k - 1 with k >= 3;
+    None in every other regime.  The torus catalog lays each of them along
+    every row and every column.
     """
     if n > 3 * k:
         return set()
@@ -137,7 +136,8 @@ def _axis_facets(n: int, k: int) -> set[Simplex] | None:
         offsets = (0, k, 2 * k - 1, 2 * k)
     else:
         return None
-    return {tuple(sorted((i + o) % n for o in offsets)) for i in range(n)}
+    line = sum(1 << o for o in offsets)
+    return {_rotate(line, i, n) for i in range(n)}
 
 
 def cycle_facets(n: int, k: int) -> FacetSet:
@@ -146,8 +146,8 @@ def cycle_facets(n: int, k: int) -> FacetSet:
     Supported regimes: n > 3k gives the n arcs of k + 1 consecutive vertices;
     n = 3k (k >= 2) adds the equally spaced triples; n = 3k - 1 (k >= 3) adds
     the near-equally-spaced 4-point sets.  Other (n, k) raise
-    UnsupportedRegimeError.  Duplicate sets arising from index shifts are
-    collapsed, so counts reflect distinct facets.
+    UnsupportedRegimeError.  Each facet is a rotation of one n-bit mask, and
+    rotations that coincide are collapsed, so counts reflect distinct facets.
     """
     if n < 3:
         raise ValueError(f"cycle length must be at least 3, got {n}")
@@ -160,18 +160,20 @@ def cycle_facets(n: int, k: int) -> FacetSet:
             f"no closed-form cycle facet catalog for n={n}, k={k}; "
             "supported: n > 3k, n = 3k with k >= 2, n = 3k - 1 with k >= 3"
         )
-    arcs = {tuple(sorted((i + j) % n for j in range(k + 1))) for i in range(n)}
-    return FacetSet(facets=frozenset(arcs | extras))
+    arc = (1 << k + 1) - 1
+    return FacetSet(facets=frozenset({_rotate(arc, i, n) for i in range(n)} | extras))
 
 
 def torus_facets(n: int, k: int) -> FacetSet:
     """Facets of the scale-k complex of the n-by-n torus grid, by closed form.
 
     Supported regimes: n > 3k with k >= 2 (the n * n translates mod n of
-    both plane stencils of ``_diamonds`` only),
-    n = 3k with k >= 2 (plus row and column triples), and n = 3k - 1 with
-    k >= 3 (plus row and column 4-point sets).  Everything else raises
-    UnsupportedRegimeError and must go through the brute-force oracle.
+    both plane stencils of ``_diamonds`` only), n = 3k with k >= 2 (plus row
+    and column triples), and n = 3k - 1 with k >= 3 (plus row and column
+    4-point sets).  Everything else raises UnsupportedRegimeError and must
+    go through the brute-force oracle.  Each stencil is laid mod n at the n
+    column offsets once; a row translate rotates those n * n-bit masks by a
+    multiple of n.
     """
     if n < 3:
         raise ValueError(f"torus side must be at least 3, got {n}")
@@ -184,27 +186,28 @@ def torus_facets(n: int, k: int) -> FacetSet:
             f"no closed-form torus facet catalog for n={n}, k={k}; "
             "supported: n > 3k (k >= 2), n = 3k (k >= 2), n = 3k - 1 (k >= 3)"
         )
-    facets: set[Simplex] = set()
+    size = n * n
+    facets: set[int] = set()
     for stencil in _diamonds(k):
-        for a in range(n):
-            for b in range(n):
-                facet = tuple(sorted({((a + dx) % n) * n + (b + dy) % n for dx, dy in stencil}))
-                if len(facet) != len(stencil):
-                    raise RuntimeError(
-                        f"a stencil of scale {k} wraps onto itself on the torus of side {n}; "
-                        "catalog construction invariant violated"
-                    )
-                facets.add(facet)
-    if len(facets) != 2 * n * n:
+        for b in range(n):
+            # A repeated cell carries into another bit, so the popcount falls short.
+            column = sum(1 << dx % n * n + (b + dy) % n for dx, dy in stencil)
+            if column.bit_count() != len(stencil):
+                raise RuntimeError(
+                    f"a stencil of scale {k} wraps onto itself on the torus of side {n}; "
+                    "catalog construction invariant violated"
+                )
+            facets.update(_rotate(column, a * n, size) for a in range(n))
+    if len(facets) != 2 * size:
         raise RuntimeError(
             f"translated stencil family for n={n}, k={k} has {len(facets)} members, "
-            f"expected {2 * n * n}; catalog construction invariant violated"
+            f"expected {2 * size}; catalog construction invariant violated"
         )
     for line in axis:
+        rows = sum(1 << r * n for r in iter_bits(line))
         for b in range(n):
-            # line is ascending, so both vertex lists are too.
-            facets.add(tuple(r * n + b for r in line))
-            facets.add(tuple(b * n + r for r in line))
+            facets.add(rows << b)
+            facets.add(line << b * n)
     return FacetSet(facets=frozenset(facets))
 
 
@@ -233,8 +236,8 @@ def brute_force_facets(graph: Graph) -> FacetSet:
     no recursion.  Any pivot yields every maximal clique exactly once, so
     the scan order changes the search tree, never the facet set; the
     search is deterministic, and a clique reported twice raises
-    RuntimeError.  Refuses graphs above the vertex budget rather than
-    running unbounded.
+    RuntimeError.  Each facet is the clique mask the search already holds.
+    Refuses graphs above the vertex budget rather than running unbounded.
     """
     n = graph.vertex_count
     if n > BRUTE_FORCE_VERTEX_BUDGET:
@@ -243,7 +246,7 @@ def brute_force_facets(graph: Graph) -> FacetSet:
             f"graph has {n}"
         )
     masks = graph.masks
-    out: list[Simplex] = []
+    out: list[int] = []
 
     def expand(clique: int, candidates: int, excluded: int) -> None:
         while candidates:
@@ -298,7 +301,7 @@ def brute_force_facets(graph: Graph) -> FacetSet:
             candidates &= masks[v]
             excluded &= masks[v]
         if not excluded:
-            out.append(tuple(iter_bits(clique)))
+            out.append(clique)
 
     expand(0, (1 << n) - 1, 0)
     facets = frozenset(out)
@@ -307,16 +310,12 @@ def brute_force_facets(graph: Graph) -> FacetSet:
     return FacetSet(facets=facets)
 
 
-def is_maximal_clique(graph: Graph, simplex: Sequence[int]) -> bool:
-    """Check that the vertices are pairwise adjacent and extend to no larger clique."""
-    verts = list(simplex)
+def is_maximal_clique(graph: Graph, mask: int) -> bool:
+    """Check that the vertices of a mask are pairwise adjacent and extend to no larger clique."""
     common = (1 << graph.vertex_count) - 1
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
-        common &= graph.masks[v]
-    for u in verts:
-        for v in verts:
-            if u < v and not graph.has_edge(u, v):
-                return False
-    return common & ~mask == 0
+    for v in iter_bits(mask):
+        neighbours = graph.masks[v]
+        if mask & ~neighbours != 1 << v:
+            return False
+        common &= neighbours
+    return not common

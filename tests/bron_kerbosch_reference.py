@@ -9,12 +9,14 @@ give the same facet set.
 
 from __future__ import annotations
 
-from torus_rips.complexes import iter_bits
 from torus_rips.facets import FacetSet
 
 
 def reference_facets(graph):
-    """All maximal cliques of a graph, by the search that stops at the first universal vertex."""
+    """All maximal cliques of a graph, as vertex bitmasks.
+
+    The search stops at the first universal vertex of each node.
+    """
     n = graph.vertex_count
     masks = graph.masks
     out = []
@@ -57,7 +59,7 @@ def reference_facets(graph):
             candidates &= masks[v]
             excluded &= masks[v]
         if not excluded:
-            out.append(tuple(iter_bits(clique)))
+            out.append(clique)
 
     expand(0, (1 << n) - 1, 0)
     facets = frozenset(out)

@@ -1,7 +1,9 @@
 """Tests for the closed-form facet catalogs and the maximal-clique oracle."""
 
+import builtins
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,20 @@ from hypothesis import strategies as st
 
 import torus_rips as tr
 from bron_kerbosch_reference import reference_facets
+from facet_catalog_reference import cycle_reference, torus_reference, window_reference
 from torus_rips import facets as facets_module
-from torus_rips.complexes import enumerate_simplices
+from torus_rips.complexes import enumerate_simplices, iter_bits
 from torus_rips.errors import BudgetError, UnsupportedRegimeError
 from torus_rips.facets import _diamonds
 
 
 def oracle_for(space, k):
     return tr.brute_force_facets(tr.vr_graph(space, k))
+
+
+def mask_of(vertices):
+    """The bitmask of a vertex collection: bit v set iff v is in it."""
+    return sum(1 << v for v in set(vertices))
 
 
 def doubled_center(stencil):
@@ -99,34 +107,37 @@ class TestWindowFacets:
         win = tr.Window(-4, 4, -4, 4)
         center = win.index((0, 0))
         edge = win.index((4, 0))
-        assert tr.in_window_interior(win, 2, [center])
-        assert not tr.in_window_interior(win, 2, [center, edge])
+        assert tr.in_window_interior(win, 2, mask_of([center]))
+        assert not tr.in_window_interior(win, 2, mask_of([center, edge]))
 
     @pytest.mark.parametrize("idx", [-1, 81, 200])
     def test_in_window_interior_rejects_outside_index(self, idx):
+        # 81 is one past the 9 x 9 window's last index; -1 is the int whose
+        # every bit is set, so it holds every index past the window too.
         win = tr.Window(-4, 4, -4, 4)
-        with pytest.raises(ValueError, match=f"index {idx} out of range"):
-            tr.in_window_interior(win, 2, [win.index((0, 0)), idx])
+        mask = 1 << win.index((0, 0)) | (idx if idx < 0 else 1 << idx)
+        with pytest.raises(ValueError, match="out of range for the 81 vertices"):
+            tr.in_window_interior(win, 2, mask)
 
 
 class TestCycleFacets:
     def test_arc_regime(self):
         got = tr.cycle_facets(10, 3)
         assert len(got) == 10
-        assert (0, 1, 2, 3) in got.facets
-        assert (0, 1, 8, 9) in got.facets
+        assert (0, 1, 2, 3) in set(got)
+        assert (0, 1, 8, 9) in set(got)
 
     def test_triple_regime(self):
         got = tr.cycle_facets(9, 3)
         assert len(got) == 12
-        assert (0, 3, 6) in got.facets
-        assert (1, 4, 7) in got.facets
-        assert (2, 5, 8) in got.facets
+        assert (0, 3, 6) in set(got)
+        assert (1, 4, 7) in set(got)
+        assert (2, 5, 8) in set(got)
 
     def test_tetra_regime(self):
         got = tr.cycle_facets(8, 3)
         assert len(got) == 16
-        assert (0, 3, 5, 6) in got.facets
+        assert (0, 3, 5, 6) in set(got)
 
     def test_short_cycle_triples_collapse(self):
         # On the 6-cycle at scale 2 the index shifts repeat each equally
@@ -134,8 +145,8 @@ class TestCycleFacets:
         # them alongside the six consecutive arcs.
         got = tr.cycle_facets(6, 2)
         assert len(got) == 8
-        assert {(0, 2, 4), (1, 3, 5)} <= got.facets
-        arcs = got.facets - {(0, 2, 4), (1, 3, 5)}
+        assert {(0, 2, 4), (1, 3, 5)} <= set(got)
+        arcs = set(got) - {(0, 2, 4), (1, 3, 5)}
         assert arcs == {tuple(sorted((i + j) % 6 for j in range(3))) for i in range(6)}
 
     @pytest.mark.parametrize(
@@ -150,9 +161,9 @@ class TestCycleFacets:
         n, k = 9, 3
         space = tr.cycle_space(n)
         graph = tr.vr_graph(space, k)
-        for f in tr.cycle_facets(n, k):
+        for f in tr.cycle_facets(n, k).facets:
             assert tr.is_maximal_clique(graph, f)
-            for u, v in itertools.combinations(f, 2):
+            for u, v in itertools.combinations(iter_bits(f), 2):
                 assert space.distance(u, v) <= k
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (4, 2), (6, 3), (7, 3)])
@@ -213,7 +224,7 @@ class TestTorusFacets:
 class TestProjectFacet:
     def test_plain_projection(self):
         # The scale-2 diamond around the origin, taken mod 7 onto the torus.
-        assert (0, 1, 6, 7, 42) in tr.torus_facets(7, 2).facets
+        assert (0, 1, 6, 7, 42) in set(tr.torus_facets(7, 2))
 
     def test_collision_detected(self, monkeypatch):
         # A stencil as wide as the torus would land two points on one vertex.
@@ -266,6 +277,16 @@ class TestBruteForceFacets:
         with pytest.raises(BudgetError):
             tr.brute_force_facets(g)
 
+    def test_repeated_clique_detected(self, monkeypatch):
+        # The search reports each maximal clique once whatever the masks say,
+        # so the guard is reached only through a fault: here the set of the
+        # reported cliques comes out one short of their list.
+        monkeypatch.setattr(facets_module, "frozenset",
+                            lambda out: builtins.frozenset(out[1:]), raising=False)
+        g = tr.Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(RuntimeError, match="reported 1 repeated cliques"):
+            tr.brute_force_facets(g)
+
     def test_universal_vertices_join_the_clique(self):
         # 0 and 1 are adjacent to every other vertex, so the root moves both
         # into the clique before it branches on 3 and 2.
@@ -292,9 +313,9 @@ class TestBruteForceFacets:
         cx = enumerate_simplices(graph, graph.vertex_count - 1)
         want = {
             sigma for layer in cx.simplices for sigma in layer
-            if tr.is_maximal_clique(graph, sigma)
+            if tr.is_maximal_clique(graph, mask_of(sigma))
         }
-        assert set(tr.brute_force_facets(graph).facets) == want
+        assert set(tr.brute_force_facets(graph)) == want
 
 
 # The benchmark's catalog graphs, then the acceptance tori and window scales.
@@ -318,27 +339,147 @@ def test_matches_reference_search(space, k):
 
 
 def oracle_set(graph):
-    return set(tr.brute_force_facets(graph).facets)
+    """The oracle's facets, decoded to ascending vertex tuples."""
+    return set(tr.brute_force_facets(graph))
+
+
+def maximal_cliques_by_subsets(graph):
+    """Every vertex subset that is a clique and that no added vertex keeps a clique."""
+    n = graph.vertex_count
+    clique = [True] * (1 << n)
+    for s in range(1, 1 << n):
+        low = (s & -s).bit_length() - 1
+        rest = s ^ 1 << low
+        clique[s] = clique[rest] and all(graph.has_edge(low, v) for v in iter_bits(rest))
+    return {
+        s for s in range(1 << n)
+        if clique[s] and not any(clique[s | 1 << v] for v in range(n) if not s >> v & 1)
+    }
 
 
 class TestIsMaximalClique:
     def test_examples(self):
         g = tr.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert tr.is_maximal_clique(g, (0, 1, 2))
-        assert tr.is_maximal_clique(g, (2, 3))
-        assert not tr.is_maximal_clique(g, (0, 1))      # extends by 2
-        assert not tr.is_maximal_clique(g, (0, 3))      # not a clique
+        assert tr.is_maximal_clique(g, mask_of((0, 1, 2)))
+        assert tr.is_maximal_clique(g, mask_of((2, 3)))
+        assert not tr.is_maximal_clique(g, mask_of((0, 1)))      # extends by 2
+        assert not tr.is_maximal_clique(g, mask_of((0, 3)))      # not a clique
+
+    @given(random_graphs())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_every_subset(self, graph):
+        n = graph.vertex_count
+        got = {s for s in range(1 << n) if tr.is_maximal_clique(graph, s)}
+        assert got == maximal_cliques_by_subsets(graph)
+
+
+@st.composite
+def windows_and_masks(draw):
+    """A window of side 1 to 12 at any offset, a scale, and a mask of its indices."""
+    width = draw(st.integers(min_value=1, max_value=12))
+    height = draw(st.integers(min_value=1, max_value=12))
+    x0 = draw(st.integers(min_value=-6, max_value=6))
+    y0 = draw(st.integers(min_value=-6, max_value=6))
+    window = tr.Window(x0, x0 + width - 1, y0, y0 + height - 1)
+    k = draw(st.integers(min_value=1, max_value=6))
+    mask = draw(st.integers(min_value=0, max_value=(1 << width * height) - 1))
+    return window, k, mask
+
+
+class TestInWindowInteriorMask:
+    @given(windows_and_masks())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_per_vertex_definition(self, case):
+        window, k, mask = case
+        margin = (k + 1) // 2
+        want = all(
+            window.x_min + margin <= p.x <= window.x_max - margin
+            and window.y_min + margin <= p.y <= window.y_max - margin
+            for p in map(window.point, iter_bits(mask))
+        )
+        assert tr.in_window_interior(window, k, mask) == want
+
+    @given(windows_and_masks(), st.integers(min_value=0, max_value=200))
+    @settings(deadline=None, max_examples=150)
+    def test_bit_past_the_window_raises(self, case, past):
+        window, k, mask = case
+        size = window.width * window.height
+        with pytest.raises(ValueError, match=f"out of range for the {size} vertices"):
+            tr.in_window_interior(window, k, mask | 1 << size + past)
 
 
 class TestFacetSet:
     def test_iteration_sorted(self):
-        fs = tr.FacetSet(facets=frozenset({(2, 3), (0, 1)}))
+        fs = tr.FacetSet(facets=frozenset({mask_of((2, 3)), mask_of((0, 1))}))
         assert list(fs) == [(0, 1), (2, 3)]
         assert len(fs) == 2
 
     def test_symmetric_difference(self):
-        a = tr.FacetSet(facets=frozenset({(0, 1), (2, 3)}))
-        b = tr.FacetSet(facets=frozenset({(2, 3), (4, 5)}))
+        a = tr.FacetSet(facets=frozenset({mask_of((0, 1)), mask_of((2, 3))}))
+        b = tr.FacetSet(facets=frozenset({mask_of((2, 3)), mask_of((4, 5))}))
         only_a, only_b = a.symmetric_difference(b)
         assert only_a == [(0, 1)]
         assert only_b == [(4, 5)]
+
+    def test_listing_is_sorted_as_vertex_tuples(self):
+        # Mask order is not listing order: {0, 5} is the larger int, {1, 2}
+        # the later tuple.
+        fs = tr.FacetSet(facets=frozenset({mask_of((1, 2)), mask_of((0, 5))}))
+        assert list(fs) == [(0, 5), (1, 2)]
+
+
+def supported(catalog, n, k):
+    try:
+        catalog(n, k)
+    except UnsupportedRegimeError:
+        return False
+    return True
+
+
+class TestReferenceCatalogs:
+    """The mask catalogs, decoded, equal the catalogs built vertex by vertex."""
+
+    def test_every_supported_torus_up_to_side_16(self):
+        cases = [(n, k) for n in range(3, 17) for k in range(1, n)
+                 if supported(tr.torus_facets, n, k)]
+        assert len(cases) == 29
+        for n, k in cases:
+            assert set(tr.torus_facets(n, k)) == torus_reference(n, k), f"T{n} k{k}"
+
+    def test_every_supported_cycle_up_to_length_40(self):
+        cases = [(n, k) for n in range(3, 41) for k in range(1, n)
+                 if supported(tr.cycle_facets, n, k)]
+        assert len(cases) == 270
+        for n, k in cases:
+            assert set(tr.cycle_facets(n, k)) == cycle_reference(n, k), f"C{n} k{k}"
+
+    def test_every_window_up_to_21_by_21(self):
+        # Square and non-square windows of every side from 2k + 3 to 21, with
+        # corners off the origin so that no index is a plain coordinate.
+        count = 0
+        for k in range(1, 10):
+            for width in range(2 * k + 3, 22):
+                for height in range(2 * k + 3, 22):
+                    window = tr.Window(-(width // 2), width - 1 - width // 2, 3, 2 + height)
+                    got = set(tr.z2_facets_in_window(window, k))
+                    assert got == window_reference(window, k), f"{width}x{height} k{k}"
+                    count += 1
+        assert count == 969
+
+
+def test_compare_path_keeps_masks_not_tuples():
+    # Both sides of the T30 k6 comparison hold 1,800 facets of 25 vertices.
+    # As vertex tuples one facet took about 860 bytes (a 256-byte tuple plus
+    # a fresh int per vertex id above 256) and the traced peak was 3.23 MB;
+    # as one 900-bit mask it takes about 150 plus its set slot, and the peak
+    # with the scale graph built inside the trace is 0.81 MB.
+    tracemalloc.start()
+    try:
+        catalog = tr.torus_facets(30, 6)
+        oracle = tr.brute_force_facets(tr.vr_graph(tr.torus_space(30), 6))
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    held = len(catalog) + len(oracle)
+    assert held == 3600
+    assert peak < 320 * held
