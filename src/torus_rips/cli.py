@@ -17,6 +17,7 @@ from .errors import BudgetError, UnsupportedRegimeError
 from .facets import (
     FacetSet,
     brute_force_facets,
+    check_brute_force_budget,
     cycle_facets,
     in_window_interior,
     torus_facets,
@@ -207,6 +208,10 @@ def cmd_facets(args: argparse.Namespace) -> int:
     start = time.monotonic()
     space = build_space(args.space, n=args.n, window=args.window)
     n = _reported_n(args)
+    if args.mode != "closed-form":
+        # Before the catalog and the scale graph, whose masks grow with the
+        # square of the point count.
+        check_brute_force_budget(space.point_count)
 
     if args.mode == "compare":
         catalog = _facet_catalog(args)

@@ -9,10 +9,10 @@ for listings.  ``collapse_edges`` drops dominated edges, keeping the homotopy
 type, and ``degeneracy_order`` relabels the vertices smallest-last, which
 keeps the clique subtrees small whatever the input's labels.
 ``scan_clique_tree`` walks the complex one vertex subtree at a time and keeps
-only what the coboundary reducer needs: the counts per dimension, the number
-of simplices with an extension and the dead ends.  One layer loop extends
-each subtree; it keeps the keys and extension masks of the simplices below
-max_dim that extend, and of layer max_dim only the extension masks.
+only what the coboundary reducer needs: the counts per dimension and the
+dead ends, the critical cells of the clique tree's matching.  One layer loop
+extends each subtree; it keeps the keys and extension masks of the simplices
+below max_dim that extend, and of layer max_dim only the extension masks.
 ``enumerate_simplices`` builds whole layers, one from the other, and keeps
 them in a ``FlagComplex``: the tests' unbounded reference listing, which
 library runs never reach and the package root does not export.
@@ -324,15 +324,22 @@ class CliqueScan:
 
     ``counts[d]`` is the number of d-simplices, through the layer above
     max_dim, which is only counted.  For each dimension d the reducer
-    reduces, ``apparent[d]`` counts the d-simplices with a nonzero extension
-    mask, and ``dead_ends[d]`` lists, in lexicographic order, those with none
-    that are not their parent's last child (for d = 0, every vertex with no
-    higher neighbour).  ``complete`` is True when no simplex lies above the
-    counted layers.
+    reduces, ``dead_ends[d]`` lists, in lexicographic order, the d-simplices
+    with a zero extension mask that are not their parent's last child (for
+    d = 0, every vertex with no higher neighbour).  ``complete`` is True when
+    no simplex lies above the counted layers.
+
+    The dead ends are the critical cells of the matching that pairs each
+    simplex with a nonzero extension mask with its last child, the simplex
+    plus the top vertex of that mask.  Every simplex is matched up (it has
+    an extension), matched down (it is a last child, whose mask is always
+    zero) or critical (a dead end).  Along a gradient path the top vertex
+    strictly rises, so the matching is acyclic and ``len(dead_ends[d])`` is
+    its Morse number c_d (Forman 1998); its pairs are the coboundary
+    reducer's apparent pairs (Bauer, Ripser 2021).
     """
 
     counts: tuple[int, ...]
-    apparent: tuple[int, ...]
     dead_ends: tuple[list[int], ...]
     complete: bool
 
@@ -353,8 +360,11 @@ def scan_clique_tree(
     simplices below max_dim with a nonzero extension mask are kept, key and
     mask, to be extended; of layer max_dim, never extended, only the nonzero
     masks are kept, and they count the layer above it and probe that layer
-    for a simplex one dimension higher.  So the live set is two layers of
-    one subtree, plus the dead ends.  None means every dimension.
+    for a simplex one dimension higher.  A simplex with an extension and
+    its last child, matched in ``CliqueScan``'s matching, are counted and
+    not kept; only the dead ends, its critical cells, are.  So the live set
+    is two layers of one subtree, plus the dead ends.  None means every
+    dimension.
 
     The budget caps the running total of simplices, vertices first, and
     refuses with SimplexBudgetError before a subtree layer that would pass it
@@ -368,7 +378,7 @@ def scan_clique_tree(
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     n = graph.vertex_count
     masks = graph.masks
-    counts, apparent, dead_ends = [], [0], [[]]
+    counts, dead_ends = [], [[]]
     total = 0
     reaches = False
 
@@ -388,7 +398,6 @@ def scan_clique_tree(
         if not cand:
             dead_ends[0].append(key)
             continue
-        apparent[0] += 1
         # The simplices of layer d - 1 in this subtree that have an extension;
         # of layer max_dim only the extension masks are kept.
         keys, cands = [key], [cand]
@@ -397,8 +406,7 @@ def scan_clique_tree(
             if d - 1 == max_dim:
                 reaches = reaches or any(_has_edge_within(masks, c) for c in cands)
                 break
-            if d == len(apparent):
-                apparent.append(0)
+            if d == len(dead_ends):
                 dead_ends.append([])
             dead = dead_ends[d].append
             pairs = zip(keys, cands)
@@ -422,11 +430,9 @@ def scan_clique_tree(
                             dead(key | low)
             if not next_cands:
                 break
-            apparent[d] += len(next_cands)
             keys, cands = next_keys, next_cands
     return CliqueScan(
         counts=tuple(counts),
-        apparent=tuple(apparent),
         dead_ends=tuple(dead_ends),
         complete=not reaches,
     )

@@ -211,6 +211,19 @@ def torus_facets(n: int, k: int) -> FacetSet:
     return FacetSet(facets=frozenset(facets))
 
 
+def check_brute_force_budget(vertex_count: int) -> None:
+    """Raise BudgetError when a brute-force facet search would pass the vertex budget.
+
+    Callers that build the scale graph only for the search check its point
+    count first, so a refused run builds nothing whose size grows with it.
+    """
+    if vertex_count > BRUTE_FORCE_VERTEX_BUDGET:
+        raise BudgetError(
+            f"brute-force facet search limited to {BRUTE_FORCE_VERTEX_BUDGET} vertices, "
+            f"graph has {vertex_count}"
+        )
+
+
 def brute_force_facets(graph: Graph) -> FacetSet:
     """All maximal cliques of a graph via Bron-Kerbosch with pivoting.
 
@@ -237,14 +250,11 @@ def brute_force_facets(graph: Graph) -> FacetSet:
     the scan order changes the search tree, never the facet set; the
     search is deterministic, and a clique reported twice raises
     RuntimeError.  Each facet is the clique mask the search already holds.
-    Refuses graphs above the vertex budget rather than running unbounded.
+    Refuses graphs above the vertex budget, through
+    ``check_brute_force_budget``, rather than running unbounded.
     """
     n = graph.vertex_count
-    if n > BRUTE_FORCE_VERTEX_BUDGET:
-        raise BudgetError(
-            f"brute-force facet search limited to {BRUTE_FORCE_VERTEX_BUDGET} vertices, "
-            f"graph has {n}"
-        )
+    check_brute_force_budget(n)
     masks = graph.masks
     out: list[int] = []
 

@@ -15,8 +15,12 @@ coface key as pivot, almost no column needs arithmetic (Bauer, Ripser 2021):
   cleared, and a last child, the row of its parent's apparent pair, always
   is.
 
-So the rank of δ_d is the number of d-simplices with a nonzero ``cand`` plus
-the pivots found by reducing the dead ends, the other columns.
+These apparent pairs match each simplex with a nonzero ``cand`` to its last
+child, an acyclic matching whose critical cells are the dead ends, the other
+columns (see ``complexes.CliqueScan``).  A pair adds one d-simplex and one
+(d + 1)-simplex, and one to the rank of δ_d, so it cancels out of every
+Betti number: with c_d the number of d-dimensional dead ends and r_d the
+rank that reducing them adds to δ_d (r_{-1} = 0), β_d = c_d - r_{d-1} - r_d.
 ``scan_clique_tree`` counts the complex and collects its dead ends one
 vertex subtree at a time; ``_coboundary_profile`` then builds each
 dimension's uncleared dead-end columns as they are drawn and ``_reduce``
@@ -404,22 +408,24 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
 
     ``modulus`` is 2 for GF(2) or 0 for the integers; over any other prime a
     non-unit low entry would reach the integer Smith normal form.  One scan
-    of the clique tree counts the complex and collects its dead ends; then
-    the rank of the coboundary of dimension d is the number of d-simplices
-    with an extension plus what the reduction of the dead ends adds.  Every
-    other column needs no arithmetic: one with a nonzero extension mask is
-    an apparent pair, and a last child is the row of its parent's apparent
-    pair, so it is cleared.  The dead ends of dimension d not cleared by the
-    explicit pivot rows of dimension d - 1 are built from the masks, in
+    of the clique tree counts the complex and collects its dead ends, the
+    critical cells c_d of its matching; then β_d = c_d - r_{d-1} - r_d,
+    where r_d is the rank ``_reduce`` finds for the dead ends of dimension d
+    (r_{-1} = 0, and r_d = 0 with no layer above d).  Every other column
+    needs no arithmetic: one with a nonzero extension mask is an apparent
+    pair, and a last child is the row of its parent's apparent pair, so it
+    is cleared; each such pair adds as many simplices as rank, so it drops
+    out of every Betti number.  The dead ends of dimension d not cleared by
+    the explicit pivot rows of dimension d - 1 are built from the masks, in
     lexicographic order, as ``_reduce`` draws them, and reduced against a
     ``_PivotMap``; ``_reduce`` reads the deadline.
     """
     scan = scan_clique_tree(graph, max_dim, budget, deadline)
-    counts = list(scan.counts)
+    counts = scan.counts
     masks = graph.masks
     ring = "GF(2)" if modulus else "integer"
-    ranks, torsion, cleared = [0], [], {}
-    for d, (apparent, dead_ends) in enumerate(zip(scan.apparent, scan.dead_ends)):
+    betti, torsion, below, cleared = [], [], 0, {}
+    for d, dead_ends in enumerate(scan.dead_ends):
         rank, factors = 0, ()
         # With no layer above, the coboundary is zero.
         if d + 1 < len(counts):
@@ -429,20 +435,19 @@ def _coboundary_profile(graph: Graph, max_dim: int | None, modulus: int,
             rank, factors = _reduce(columns, pivots, modulus, deadline,
                                     f"{ring} reduction of dimension {d}")
             cleared = pivots
-        ranks.append(apparent + rank)
+        betti.append(len(dead_ends) - below - rank)
         torsion.append(factors)
+        below = rank
 
-    depth = len(torsion) if max_dim is None else max_dim + 1
-    pad = depth - len(torsion)
-    ranks += [0] * pad
-    cells = counts + [0] * pad
+    depth = len(betti) if max_dim is None else max_dim + 1
+    pad = depth - len(betti)
     return BettiProfile(
         coefficients="gf2" if modulus else "integer",
-        betti=tuple(cells[d] - ranks[d] - ranks[d + 1] for d in range(depth)),
+        betti=tuple(betti) + (0,) * pad,
         torsion=tuple(torsion) + ((),) * pad,
         euler=euler_characteristic(counts) if scan.complete else None,
         truncated_at=None if scan.complete and len(counts) <= depth else max_dim,
-        counts=tuple(counts),
+        counts=counts,
     )
 
 
@@ -460,7 +465,10 @@ def betti_gf2(graph: Graph, max_dim: int | None, deadline: float | None = None,
     arithmetic; a (d + 1)-simplex that is a pivot row of the coboundary of
     dimension d has a column that reduces to zero one dimension up, so it is
     cleared without being built (de Silva, Morozov & Vejdemo-Johansson 2011;
-    Bauer, Ripser 2021).  Only the other dead ends are reduced.
+    Bauer, Ripser 2021).  Only the other dead ends are reduced, and
+    betti[d] = c_d - r_{d-1} - r_d, with c_d the d-dimensional dead ends,
+    the critical cells of the apparent pairs' acyclic matching, and r_d the
+    rank their reduction finds.
     """
     return _coboundary_profile(graph, max_dim, 2, deadline, budget)
 
@@ -474,9 +482,11 @@ def homology_integer(graph: Graph, max_dim: int | None, deadline: float | None =
     transpose, the coboundary of dimension d, has the same rank and the same
     invariant factors.  The coboundaries are reduced from dimension 0 upward
     by exact integer column operations on unit pivots, the same reducer
-    ``betti_gf2`` runs mod 2: the apparent pairs are counted, and only the
-    dead ends are reduced.  Each unit pivot pair is an elementary reduction
-    of the chain complex (Kaczynski, Mrozek & Slusarek 1998), so the
+    ``betti_gf2`` runs mod 2: the apparent pairs, an acyclic matching, drop
+    out, and only the dead ends, its critical cells, are reduced, so
+    betti[d] = c_d - r_{d-1} - r_d with c_d the d-dimensional dead ends and
+    r_d the rank their reduction finds.  Each unit pivot pair is an
+    elementary reduction of the chain complex (Kaczynski, Mrozek & Slusarek 1998), so the
     (d + 1)-simplices that are unit pivot rows of dimension d are cleared
     one dimension up without changing the rank or any invariant factor.  The
     columns whose low entry is not +/-1 are finished against the unit pivots

@@ -102,13 +102,19 @@ def compute_profile(
     keeps Betti numbers and torsion; ``euler``, ``truncated_at``, the length
     of a full-depth ``betti`` and the returned simplex counts per dimension
     (the counted top layer included, None for a complete graph) describe the
-    collapsed complex.  Returns the profile and those counts.
+    collapsed complex.  Returns the profile and those counts.  A max_dim of
+    at least the point count raises ValueError before anything is built: no
+    simplex on N points has dimension N or more.
     """
+    max_dim = config.max_dim
+    if max_dim is not None and max_dim >= space.point_count:
+        raise ValueError(
+            f"max_dim {max_dim} is not below the {space.point_count} points of {space.label}"
+        )
     if deadline is None:
         deadline = config.deadline()
     if graph is None:
         graph = vr_graph(space, k, deadline)
-    max_dim = config.max_dim
     if graph.is_complete():
         betti = (1,) + (0,) * (max_dim or 0)
         return BettiProfile(
@@ -197,6 +203,8 @@ class GoldenRow:
             )
         if self.coefficients not in COEFFICIENTS:
             raise ValueError(f"unknown coefficients {self.coefficients!r}")
+        if not (isinstance(self.source, str) and self.source.strip()):
+            raise ValueError(f"source must be a non-empty string, got {self.source!r}")
         # build_space needs only n for these two kinds.
         if self.space not in ("cycle", "torus"):
             raise ValueError(f"space must be 'cycle' or 'torus', got {self.space!r}")
@@ -235,12 +243,13 @@ def _expected_dims(expected: _JsonObject) -> dict[int, object]:
 def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
     """Load the golden homology table from the packaged data file or a path.
 
-    A file that cannot be read or parsed, or a row that lacks a required
-    key, is not an object, names an unknown ring, names a space other than a
-    cycle or a torus, holds a count that is not a nonnegative integer,
-    expects a dimension outside 0..max_dim or twice, has a ``skip`` that is
-    not a boolean, or is skipped without a reason, raises ValueError naming
-    the file (and the row index).
+    A file that cannot be read or parsed or whose ``rows`` is not a list, or
+    a row that lacks a required key, is not an object, names an unknown
+    ring, names a space other than a cycle or a torus, holds a count that is
+    not a nonnegative integer, expects a dimension outside 0..max_dim or
+    twice, has a ``source`` that is not a non-empty string or a ``skip``
+    that is not a boolean, or is skipped without a reason, raises ValueError
+    naming the file (and the row index).
     """
     if path is None:
         path = "packaged golden_table.json"
@@ -253,6 +262,8 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
             raise ValueError(f"cannot read golden table {path}: {exc.strerror}") from exc
     try:
         entries = json.loads(text, object_pairs_hook=_JsonObject)["rows"]
+        if not isinstance(entries, list):
+            raise TypeError(f"'rows' is {entries!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(
             f"golden table {path} is not a JSON object with a 'rows' list: {exc}"

@@ -130,6 +130,19 @@ class TestBettiCommand:
         payload = read_error(err)
         assert payload["error"] == "validation"
 
+    @pytest.mark.parametrize("max_dim, code", [("48", 0), ("49", 2), ("1000000", 2)])
+    def test_max_dim_below_the_point_count(self, capsys, max_dim, code):
+        # The 49 points of T7 span no simplex of dimension 49 or more.
+        code_, out, err = run_cli(capsys, "betti", "--space", "torus", "--n", "7",
+                                  "--k", "2", "--max-dim", max_dim)
+        assert code_ == code
+        if code:
+            assert out == ""
+            assert read_error(err)["message"] == (
+                f"max_dim {max_dim} is not below the 49 points of torus 7")
+        else:
+            assert json.loads(out)["betti"] == [1, 2, 1] + [0] * 46
+
     def test_budget_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
@@ -316,6 +329,20 @@ class TestFacetsCommand:
         assert payload["error"] == "unsupported-regime"
         assert "supported" in payload["message"]
 
+    @pytest.mark.parametrize("mode", ["brute", "compare"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_oracle_over_vertex_budget_is_refused_first(self, capsys, monkeypatch, mode, k):
+        # The refusal comes before the catalog, so k = 1, which has none,
+        # is refused on its size too, and before the scale graph is built.
+        monkeypatch.setattr("torus_rips.cli.vr_graph", None)
+        code, out, err = run_cli(capsys, "facets", "--space", "torus", "--n", "150",
+                                 "--k", str(k), "--mode", mode)
+        assert (code, out) == (3, "")
+        payload = read_error(err)
+        assert payload["error"] == "budget"
+        assert payload["message"] == (
+            "brute-force facet search limited to 2000 vertices, graph has 22500")
+
     @pytest.mark.parametrize("space", ["torus", "cycle", "window"])
     def test_missing_size_is_validation_error(self, capsys, space):
         # --n for cycles and tori, --window for windows.
@@ -471,6 +498,12 @@ class TestVerifyTableCommand:
              ["row 1", "n must be at least 3, got 2"]),
             (json.dumps({"rows": [{**GOLDEN_ROW, "space": "cycle", "n": 2}]}),
              ["row 0", "n must be at least 3, got 2"]),
+            (json.dumps({"rows": 5}), ["not a JSON object with a 'rows' list"]),
+            (json.dumps({"rows": None}), ["not a JSON object with a 'rows' list"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "source": [["x"]]}]}),
+             ["row 1", "source must be a non-empty string, got [['x']]"]),
+            (json.dumps({"rows": [{**GOLDEN_ROW, "source": " "}]}),
+             ["row 0", "source must be a non-empty string, got ' '"]),
         ],
         ids=["row-without-max-dim", "no-rows", "row-not-object", "not-json",
              "n-as-string", "max-dim-as-string", "expected-key-not-dimension",
@@ -478,7 +511,8 @@ class TestVerifyTableCommand:
              "unknown-space", "window-space", "expected-dim-above-max-dim",
              "negative-expected-dim", "skip-as-string", "skip-without-reason",
              "expected-dim-spelled-twice", "expected-key-written-twice",
-             "torus-side-below-three", "cycle-length-below-three"],
+             "torus-side-below-three", "cycle-length-below-three", "rows-a-number",
+             "rows-null", "source-a-list", "source-blank"],
     )
     def test_malformed_golden_table_is_validation_error(
         self, capsys, tmp_path, text, fragments
@@ -689,3 +723,18 @@ def test_torus11_k6_d4_peak_rss_under_64_mib():
     assert child.returncode == 0, child.stderr
     peak = int(child.stderr) / 1024
     assert peak < 64, f"peak RSS {peak:.1f} MiB, over 64 MiB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_torus150_k2_compare_refused_under_32_mib():
+    run = source_cli(["facets", "--space", "torus", "--n", "150", "--k", "2",
+                      "--mode", "compare", "--no-timing"])
+    run["args"] = [sys.executable, "-S", "-c", PEAK_RSS, *run["args"]]
+    child = subprocess.run(**run, capture_output=True, text=True, timeout=60)
+    *error, peak = child.stderr.splitlines()
+    assert (child.returncode, child.stdout) == (3, "")
+    assert error == [json.dumps({
+        "error": "budget", "exit_code": 3, "kind": "error",
+        "message": "brute-force facet search limited to 2000 vertices, graph has 22500",
+        "version": tr.__version__}, separators=(",", ":"))]
+    assert int(peak) / 1024 < 32, f"peak RSS {int(peak) / 1024:.1f} MiB, over 32 MiB"

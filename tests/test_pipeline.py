@@ -110,6 +110,17 @@ class TestComputeProfile:
                 tr.torus_space(4), 1, tr.RunConfig(coefficients="rational", max_dim=1)
             )
 
+    # Cycle 5 at scale 2 is the complete graph; torus 3 at scale 1 is not.
+    @pytest.mark.parametrize("space, k", [(tr.cycle_space(5), 2), (tr.torus_space(3), 1)])
+    def test_max_dim_below_the_point_count(self, monkeypatch, space, k):
+        top = space.point_count - 1
+        profile, _ = tr.compute_profile(space, k, tr.RunConfig(max_dim=top))
+        assert len(profile.betti) == top + 1
+        # Refused before the scale graph is built.
+        monkeypatch.setattr("torus_rips.pipeline.vr_graph", None)
+        with pytest.raises(ValueError, match=f"max_dim {top + 1} is not below"):
+            tr.compute_profile(space, k, tr.RunConfig(max_dim=top + 1))
+
     def test_simplex_budget_propagates(self):
         with pytest.raises(SimplexBudgetError):
             tr.compute_profile(
