@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, replace
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 from .complexes import DEFAULT_SIMPLEX_BUDGET, Simplex, vr_graph
@@ -92,27 +91,13 @@ def _error(category: str, message: str, exit_code: int, **fields: object) -> int
     return exit_code
 
 
-def _setting(flag: Optional[float], name: str, parse: Callable[[str], float],
-             default: Optional[float]) -> Optional[float]:
-    """The flag if given, else environment variable name parsed, else default."""
-    if flag is not None:
-        return flag
-    text = os.environ.get(name)
-    try:
-        return parse(text) if text else default
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name}: {exc}") from None
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    budget = _setting(args.budget, "SIMPLEX_BUDGET", int, DEFAULT_SIMPLEX_BUDGET)
-    time_budget = _setting(args.time_budget, "TIME_BUDGET_SECS", float, None)
     return RunConfig(
         # verify-table's --coefficients filters rows, and each row sets its ring.
         coefficients=args.coefficients or "gf2",
         max_dim=getattr(args, "max_dim", None),
-        simplex_budget=budget or None,
-        time_budget_secs=time_budget,
+        simplex_budget=args.budget or None,
+        time_budget_secs=args.time_budget,
     )
 
 
@@ -135,29 +120,23 @@ def _payload(
     return payload
 
 
-def _reported_n(args: argparse.Namespace) -> Optional[int]:
-    """The n a result reports: a window ignores --n, so it has none."""
-    return None if args.space == "window" else args.n
-
-
 def cmd_betti(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     start = time.monotonic()
     space = build_space(args.space, n=args.n, window=args.window)
-    n = _reported_n(args)
     profile, _ = compute_profile(space, args.k, config)
     if args.format == "csv":
         # csv quotes the comma in a window label and writes n=None as empty.
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "k", "dim", "betti", "coefficients", "source"])
         for d, b in enumerate(profile.betti):
-            writer.writerow([n, args.k, d, b, profile.coefficients, space.label])
+            writer.writerow([args.n, args.k, d, b, profile.coefficients, space.label])
         return EXIT_OK
     max_dim = config.max_dim if config.max_dim is not None else len(profile.betti) - 1
     payload = _payload(
         "betti-result", start, args, config,
         space=space.label,
-        n=n,
+        n=args.n,
         k=args.k,
         coefficients=profile.coefficients,
         max_dim=max_dim,
@@ -206,8 +185,9 @@ def format_simplex_lines(simplices: Iterable[Simplex], header: dict[str, object]
 
 def cmd_facets(args: argparse.Namespace) -> int:
     start = time.monotonic()
+    if args.mode == "compare" and args.format == "text":
+        raise ValueError("facets --mode compare prints JSON only, not --format text")
     space = build_space(args.space, n=args.n, window=args.window)
-    n = _reported_n(args)
     if args.mode != "closed-form":
         # Before the catalog and the scale graph, whose masks grow with the
         # square of the point count.
@@ -221,7 +201,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
         payload = _payload(
             "facets-compare", start, args, None,
             space=space.label,
-            n=n,
+            n=args.n,
             k=args.k,
             closed_form_count=len(catalog),
             brute_count=len(oracle),
@@ -240,7 +220,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
         payload = _payload(
             "facets-list", start, args, None,
             space=space.label,
-            n=n,
+            n=args.n,
             k=args.k,
             mode=args.mode,
             count=len(facets),
@@ -248,7 +228,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
         )
         _emit(payload, sys.stdout)
         return EXIT_OK
-    header = {"space": space.label, "n": n, "k": args.k,
+    header = {"space": space.label, "n": args.n, "k": args.k,
               "dim": max((len(s) - 1 for s in facets), default=0)}
     sys.stdout.write(format_simplex_lines(facets, header))
     return EXIT_OK
@@ -257,6 +237,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
 def cmd_verify_table(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     start = time.monotonic()
+    deadline = config.deadline()
     rows = load_golden_table(args.golden_file)
     if args.n is not None:
         lo, hi = args.n
@@ -267,7 +248,12 @@ def cmd_verify_table(args: argparse.Namespace) -> int:
     if args.coefficients is not None:
         rows = [r for r in rows if r.coefficients == args.coefficients]
 
-    results = [run_golden_row(row, config) for row in rows]
+    results = []
+    for row in rows:
+        if deadline is not None:
+            # One deadline bounds the table: each row gets what is left of it.
+            config = replace(config, time_budget_secs=max(0.0, deadline - time.monotonic()))
+        results.append(run_golden_row(row, config))
     passed = sum(1 for r in results if r["status"] == "PASS")
     failed = sum(1 for r in results if r["status"] == "FAIL")
     skipped = sum(1 for r in results if r["status"] == "SKIPPED")
@@ -341,11 +327,10 @@ def _add_no_timing(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, coefficients: bool = True) -> None:
-    parser.add_argument("--budget", type=int, default=None,
-                        help="simplex budget (0 disables; default from SIMPLEX_BUDGET or "
-                             f"{DEFAULT_SIMPLEX_BUDGET})")
+    parser.add_argument("--budget", type=int, default=DEFAULT_SIMPLEX_BUDGET,
+                        help=f"simplex budget (0 disables; default {DEFAULT_SIMPLEX_BUDGET})")
     parser.add_argument("--time-budget", type=float, default=None,
-                        help="wall-clock budget in seconds (default from TIME_BUDGET_SECS)")
+                        help="wall-clock budget in seconds for the whole run (default none)")
     _add_no_timing(parser)
     if coefficients:
         parser.add_argument("--coefficients", choices=COEFFICIENTS, default="gf2")
@@ -382,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_complex(p_facets)
     p_facets.add_argument("--mode", choices=["closed-form", "brute", "compare"],
                           default="closed-form")
-    p_facets.add_argument("--format", choices=["text", "json"], default="text")
+    p_facets.add_argument("--format", choices=["text", "json"], default=None,
+                          help="listing format (default text); --mode compare prints JSON only")
     _add_no_timing(p_facets)
     p_facets.set_defaults(func=cmd_facets)
 

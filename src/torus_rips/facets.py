@@ -23,6 +23,9 @@ from .errors import BudgetError, UnsupportedRegimeError
 from .spaces import Window
 
 BRUTE_FORCE_VERTEX_BUDGET = 2000
+# A graph far under the vertex budget can still have exponentially many
+# maximal cliques: the cross-polytope boundary of T8 k7 has 2**32.
+BRUTE_FORCE_CLIQUE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,9 @@ def brute_force_facets(graph: Graph) -> FacetSet:
     search is deterministic, and a clique reported twice raises
     RuntimeError.  Each facet is the clique mask the search already holds.
     Refuses graphs above the vertex budget, through
-    ``check_brute_force_budget``, rather than running unbounded.
+    ``check_brute_force_budget``, and raises BudgetError when it finds one
+    more maximal clique than ``BRUTE_FORCE_CLIQUE_BUDGET``, rather than
+    running unbounded.
     """
     n = graph.vertex_count
     check_brute_force_budget(n)
@@ -311,6 +316,11 @@ def brute_force_facets(graph: Graph) -> FacetSet:
             candidates &= masks[v]
             excluded &= masks[v]
         if not excluded:
+            if len(out) == BRUTE_FORCE_CLIQUE_BUDGET:
+                raise BudgetError(
+                    f"brute-force facet search limited to {BRUTE_FORCE_CLIQUE_BUDGET} "
+                    "maximal cliques"
+                )
             out.append(clique)
 
     expand(0, (1 << n) - 1, 0)

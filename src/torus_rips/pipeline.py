@@ -66,19 +66,22 @@ class RunConfig:
 
 
 def build_space(kind: str, n: Optional[int] = None, window: Optional[Window] = None) -> FiniteMetricSpace:
-    if kind == "cycle":
-        if n is None:
-            raise ValueError("cycle space needs n")
-        return cycle_space(n)
-    if kind == "torus":
-        if n is None:
-            raise ValueError("torus space needs n")
-        return torus_space(n)
+    """A cycle or torus of side n, or a window of bounds window; the other size is refused."""
     if kind == "window":
-        if window is None:
-            raise ValueError("window space needs window bounds")
+        if window is None or n is not None:
+            raise ValueError("window space needs window bounds and takes no n")
         return window_space(window)
-    raise ValueError(f"unknown space kind {kind!r}")
+    if kind not in ("cycle", "torus"):
+        raise ValueError(f"unknown space kind {kind!r}")
+    if n is None or window is not None:
+        raise ValueError(f"{kind} space needs n and takes no window bounds")
+    return cycle_space(n) if kind == "cycle" else torus_space(n)
+
+
+def check_depth(max_dim: Optional[int], point_count: int, label: str) -> None:
+    """Refuse a max_dim of at least the point count: no simplex on N points has dimension N."""
+    if max_dim is not None and max_dim >= point_count:
+        raise ValueError(f"max_dim {max_dim} is not below the {point_count} points of {label}")
 
 
 def compute_profile(
@@ -104,13 +107,10 @@ def compute_profile(
     (the counted top layer included, None for a complete graph) describe the
     collapsed complex.  Returns the profile and those counts.  A max_dim of
     at least the point count raises ValueError before anything is built: no
-    simplex on N points has dimension N or more.
+    simplex on N points has dimension N or more (``check_depth``).
     """
     max_dim = config.max_dim
-    if max_dim is not None and max_dim >= space.point_count:
-        raise ValueError(
-            f"max_dim {max_dim} is not below the {space.point_count} points of {space.label}"
-        )
+    check_depth(max_dim, space.point_count, space.label)
     if deadline is None:
         deadline = config.deadline()
     if graph is None:
@@ -150,9 +150,11 @@ def certify_torus(
     computed (both are cheap).  The Betti profile is skipped when the
     antipodal certificate already pins the homotopy type; otherwise it goes
     to ``config.max_dim``, where None means the whole complex, as in
-    ``compute_profile``.
+    ``compute_profile``; a max_dim of at least n * n raises ValueError
+    before the scale graph is built.
     """
     space = torus_space(n)
+    check_depth(config.max_dim, space.point_count, space.label)
     deadline = config.deadline()
     graph = vr_graph(space, k, deadline)
     antipode = antipode_check(graph)
@@ -170,7 +172,8 @@ class GoldenRow:
     """One expected-homology table entry.
 
     ``expected`` maps each dimension in 0..max_dim to a Betti number; every
-    unlisted one is asserted 0 (dimension 0 defaults to 1).  Rows with
+    unlisted one is asserted 0 (dimension 0 defaults to 1); max_dim must be
+    below the point count (n for a cycle, n * n for a torus).  Rows with
     ``skip`` true are outside the desk-scale budget and are reported as
     skipped with their non-empty ``skip_reason``, never run.
     """
@@ -210,6 +213,8 @@ class GoldenRow:
             raise ValueError(f"space must be 'cycle' or 'torus', got {self.space!r}")
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
+        points = self.n if self.space == "cycle" else self.n * self.n
+        check_depth(self.max_dim, points, f"{self.space} {self.n}")
 
     def expected_betti(self) -> tuple[int, ...]:
         return tuple(
@@ -246,8 +251,8 @@ def load_golden_table(path: Optional[str] = None) -> list[GoldenRow]:
     A file that cannot be read or parsed or whose ``rows`` is not a list, or
     a row that lacks a required key, is not an object, names an unknown
     ring, names a space other than a cycle or a torus, holds a count that is
-    not a nonnegative integer, expects a dimension outside 0..max_dim or
-    twice, has a ``source`` that is not a non-empty string or a ``skip``
+    not a nonnegative integer, has a max_dim no simplex of its space
+    reaches, expects a dimension outside 0..max_dim or twice, has a ``source`` that is not a non-empty string or a ``skip``
     that is not a boolean, or is skipped without a reason, raises ValueError
     naming the file (and the row index).
     """

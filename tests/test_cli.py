@@ -14,6 +14,7 @@ import pytest
 
 import torus_rips as tr
 from torus_rips.cli import main
+from torus_rips.pipeline import run_golden_row
 
 SCHEMA = json.loads(
     resources.files("torus_rips.data").joinpath("result_schema.json").read_text()
@@ -77,7 +78,7 @@ class TestBettiCommand:
         # A lattice window at scale 1 is a grid graph: no triangles, so the
         # first Betti number counts the 16 unit squares of the 5x5 window.
         code, payload, _ = run_json(
-            capsys, "betti", "--space", "window", "--window=-2:2,-2:2", "--n", "5",
+            capsys, "betti", "--space", "window", "--window=-2:2,-2:2",
             "--k", "1", "--max-dim", "1",
         )
         assert code == 0
@@ -87,7 +88,7 @@ class TestBettiCommand:
 
     def test_window_csv_parses_to_six_fields(self, capsys):
         code, out, _ = run_cli(
-            capsys, "betti", "--space", "window", "--window=0:4,0:4", "--n", "5",
+            capsys, "betti", "--space", "window", "--window=0:4,0:4",
             "--k", "2", "--max-dim", "2", "--format", "csv",
         )
         assert code == 0
@@ -174,24 +175,6 @@ class TestBettiCommand:
         payload = read_error(err)
         assert "dim" not in payload and "count" not in payload
 
-    def test_budget_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMPLEX_BUDGET", "100")
-        code, _, err = run_cli(
-            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
-            "--max-dim", "3",
-        )
-        assert code == 3
-        assert read_error(err)["error"] == "budget"
-
-    def test_time_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TIME_BUDGET_SECS", "0.000001")
-        code, _, err = run_cli(
-            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
-            "--max-dim", "3",
-        )
-        assert code == 3
-        assert read_error(err)["error"] == "budget"
-
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_time_budget_that_bounds_nothing_is_rejected(self, capsys, value):
         code, out, err = run_cli(
@@ -203,54 +186,21 @@ class TestBettiCommand:
         assert payload["error"] == "validation"
         assert "time budget" in payload["message"]
 
-    def test_time_budget_env_nan_is_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("TIME_BUDGET_SECS", "nan")
-        code, _, err = run_cli(
-            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
-            "--max-dim", "3",
-        )
-        assert code == 2
-        assert read_error(err)["error"] == "validation"
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_negative_budget_is_rejected(self, capsys, monkeypatch, source):
+    def test_negative_budget_is_rejected(self, capsys):
         # The time budget bounds the run should the budget be taken as none.
-        argv = ["betti", "--space", "torus", "--n", "8", "--k", "6", "--max-dim", "6",
-                "--time-budget", "3"]
-        if source == "flag":
-            argv += ["--budget", "-5"]
-        else:
-            monkeypatch.setenv("SIMPLEX_BUDGET", "-5")
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, "betti", "--space", "torus", "--n", "8", "--k", "6",
+                                 "--max-dim", "6", "--time-budget", "3", "--budget", "-5")
         assert (code, out) == (2, "")
         payload = read_error(err)
         assert payload["error"] == "validation"
         assert "simplex budget must be positive" in payload["message"]
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_zero_budget_disables(self, capsys, monkeypatch, source):
-        argv = ["betti", "--space", "torus", "--n", "6", "--k", "2", "--max-dim", "3"]
-        monkeypatch.setenv("SIMPLEX_BUDGET", "100")
-        if source == "flag":
-            argv += ["--budget", "0"]
-        else:
-            monkeypatch.setenv("SIMPLEX_BUDGET", "0")
-        code, payload, _ = run_json(capsys, *argv)
+    def test_zero_budget_disables(self, capsys):
+        code, payload, _ = run_json(capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
+                                    "--max-dim", "3", "--budget", "0")
         assert code == 0
         assert payload["config"]["simplex_budget"] is None
         assert payload["betti"] == [1, 0, 23, 0]
-
-    @pytest.mark.parametrize("name", ["SIMPLEX_BUDGET", "TIME_BUDGET_SECS"])
-    def test_unparsable_budget_env_is_named(self, capsys, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
-        code, out, err = run_cli(
-            capsys, "betti", "--space", "torus", "--n", "6", "--k", "2",
-            "--max-dim", "3",
-        )
-        assert (code, out) == (2, "")
-        payload = read_error(err)
-        assert payload["error"] == "validation"
-        assert name in payload["message"]
 
 
 class TestFacetsCommand:
@@ -306,8 +256,7 @@ class TestFacetsCommand:
         assert payload["only_brute"] == []
 
     def test_window_does_not_echo_n(self, capsys):
-        argv = ("facets", "--space", "window", "--window=-5:5,-5:5", "--n", "5",
-                "--k", "2")
+        argv = ("facets", "--space", "window", "--window=-5:5,-5:5", "--k", "2")
         code, listing, _ = run_json(capsys, *argv, "--format", "json")
         assert code == 0
         assert listing["n"] is None
@@ -446,6 +395,32 @@ class TestVerifyTableCommand:
         assert payload["failed"] == 1
         assert payload["rows"][0]["status"] == "FAIL"
 
+    def test_time_budget_bounds_the_whole_table(self, capsys, monkeypatch, tmp_path):
+        # A fake clock that moves a nanosecond per reading, and a second after
+        # each row: a 2.5 s budget lets three rows run and skips the other two.
+        clock = [0.0]
+
+        def monotonic():
+            clock[0] += 1e-9
+            return clock[0]
+
+        def run_row(row, config):
+            result = run_golden_row(row, config)
+            clock[0] += 1.0
+            return result
+
+        monkeypatch.setattr("time.monotonic", monotonic)
+        monkeypatch.setattr("torus_rips.cli.run_golden_row", run_row)
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({"rows": [GOLDEN_ROW] * 5}))
+        code, out, _ = run_cli(capsys, "verify-table", "--golden-file", str(path),
+                               "--time-budget", "2.5")
+        assert code == 0
+        *rows, summary = out.splitlines()
+        assert [line.split()[0] for line in rows] == ["PASS"] * 3 + ["SKIPPED"] * 2
+        assert all("budget: time budget exceeded" in line for line in rows[3:])
+        assert summary == "passed 3, failed 0, skipped 2"
+
     def test_missing_golden_file_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
         code, out, err = run_cli(capsys, "verify-table", "--golden-file", str(path))
@@ -498,6 +473,9 @@ class TestVerifyTableCommand:
              ["row 1", "n must be at least 3, got 2"]),
             (json.dumps({"rows": [{**GOLDEN_ROW, "space": "cycle", "n": 2}]}),
              ["row 0", "n must be at least 3, got 2"]),
+            (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "max_dim": 20_000_000,
+                                               "skip": True, "skip_reason": "too deep"}]}),
+             ["row 1", "max_dim 20000000 is not below the 9 points of torus 3"]),
             (json.dumps({"rows": 5}), ["not a JSON object with a 'rows' list"]),
             (json.dumps({"rows": None}), ["not a JSON object with a 'rows' list"]),
             (json.dumps({"rows": [GOLDEN_ROW, {**GOLDEN_ROW, "source": [["x"]]}]}),
@@ -511,7 +489,8 @@ class TestVerifyTableCommand:
              "unknown-space", "window-space", "expected-dim-above-max-dim",
              "negative-expected-dim", "skip-as-string", "skip-without-reason",
              "expected-dim-spelled-twice", "expected-key-written-twice",
-             "torus-side-below-three", "cycle-length-below-three", "rows-a-number",
+             "torus-side-below-three", "cycle-length-below-three",
+             "skipped-max-dim-past-the-points", "rows-a-number",
              "rows-null", "source-a-list", "source-blank"],
     )
     def test_malformed_golden_table_is_validation_error(
@@ -601,6 +580,18 @@ class TestCertifyCommand:
         assert payload["betti"] == collapsed
         assert payload["truncated_at"] is None
 
+    def test_max_dim_is_checked_first(self, capsys, monkeypatch):
+        # The antipodal certificate settles T4 k3 without homology, yet a depth
+        # past its 16 points is refused before the scale graph is built.
+        code, payload, _ = run_json(capsys, "certify", "--n", "4", "--k", "3", "--max-dim", "15")
+        assert (code, payload["claim"], payload["betti"]) == (0, "sphere(7)", None)
+        monkeypatch.setattr("torus_rips.pipeline.vr_graph", refuse_scale_graph)
+        code, out, err = run_cli(capsys, "certify", "--n", "4", "--k", "3", "--max-dim", "16")
+        assert (code, out) == (2, "")
+        payload = read_error(err)
+        assert (payload["error"], payload["message"]) == (
+            "validation", "max_dim 16 is not below the 16 points of torus 4")
+
     def test_unknown_regime_needs_depth(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--n", "7", "--k", "4")
         assert code == 2
@@ -613,6 +604,10 @@ class TestCertifyCommand:
             capsys, "certify", "--space", "cycle", "--n", "6", "--k", "2"
         )
         assert code == 2
+
+
+def refuse_scale_graph(*args, **kwargs):
+    raise AssertionError("a refused run built the scale graph")
 
 
 class TestParser:
@@ -650,6 +645,33 @@ class TestParser:
         assert "argument --max-dim: max-dim must be nonnegative or 'full', got -1" in err
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["betti", "--space", "window", "--window=-2:2,-2:2", "--n", "5", "--k", "1",
+              "--max-dim", "1"], "window space needs window bounds and takes no n"),
+            (["facets", "--space", "window", "--window=-5:5,-5:5", "--n", "5", "--k", "2"],
+             "window space needs window bounds and takes no n"),
+            (["betti", "--space", "torus", "--n", "7", "--window=0:3,0:3", "--k", "2",
+              "--max-dim", "2"], "torus space needs n and takes no window bounds"),
+            (["facets", "--space", "cycle", "--n", "12", "--window=0:3,0:3", "--k", "3"],
+             "cycle space needs n and takes no window bounds"),
+            (["facets", "--space", "torus", "--n", "9", "--k", "3", "--mode", "compare",
+              "--format", "text"], "facets --mode compare prints JSON only, not --format text"),
+            (["certify", "--n", "4", "--k", "3", "--max-dim", "1000000"],
+             "max_dim 1000000 is not below the 16 points of torus 4"),
+        ],
+        ids=["betti-window-with-n", "facets-window-with-n", "betti-torus-with-window",
+             "facets-cycle-with-window", "compare-as-text", "certify-past-the-points"],
+    )
+    def test_flag_the_run_would_ignore_is_refused(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr("torus_rips.cli.vr_graph", refuse_scale_graph)
+        monkeypatch.setattr("torus_rips.pipeline.vr_graph", refuse_scale_graph)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        payload = read_error(err)
+        assert (payload["error"], payload["message"]) == ("validation", message)
+
+    @pytest.mark.parametrize(
         "flag,value,message",
         [
             ("--window", "abc", "window must be nonempty and look like '-6:6,-6:6', got 'abc'"),
@@ -675,12 +697,9 @@ def source_cli(argv):
     """Run arguments for ``python -S -m torus_rips.cli argv`` on the checkout's ``src``.
 
     -S leaves site-packages off the path, so a test dependency imported by
-    the library fails the run; the budget variables are removed so that only
-    argv sets a budget.
+    the library fails the run.
     """
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("SIMPLEX_BUDGET", "TIME_BUDGET_SECS")}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return {"args": [sys.executable, "-S", "-m", "torus_rips.cli", *argv],
             "env": env, "cwd": ROOT}
 
@@ -690,13 +709,28 @@ def source_cli(argv):
 )
 def test_output_matches_fixture(fixture):
     """Exit code, stdout and stderr of a --no-timing process equal the stored bytes."""
+    replay(fixture, {})
+
+
+def replay(fixture, env):
+    """Run a fixture's argv with env added to the environment and compare every byte."""
     expected = json.loads(fixture.read_text(encoding="utf-8"))
     assert list(expected) == ["argv", "exit_code", "stdout", "stderr"]
     assert "--no-timing" in expected["argv"]
-    child = subprocess.run(**source_cli(expected["argv"]), capture_output=True, timeout=60)
+    run = source_cli(expected["argv"])
+    run["env"].update(env)
+    child = subprocess.run(**run, capture_output=True, timeout=60)
     assert child.stdout.decode() == expected["stdout"]
     assert child.stderr.decode() == expected["stderr"]
     assert child.returncode == expected["exit_code"]
+
+
+@pytest.mark.parametrize("value", [("1", "0"), ("abc", "abc")], ids=["refusing", "unparsable"])
+@pytest.mark.parametrize("stem", ["betti_torus7_k2_d2", "verify_table_text"])
+def test_budget_variables_in_the_environment_change_nothing(stem, value):
+    """Only argv sets a budget: values that would refuse or fail to parse leave the bytes."""
+    simplex, secs = value
+    replay(FIXTURE_DIR / f"{stem}.json", {"SIMPLEX_BUDGET": simplex, "TIME_BUDGET_SECS": secs})
 
 
 # A child of this process would report this process's peak as well: Linux
@@ -738,3 +772,20 @@ def test_torus150_k2_compare_refused_under_32_mib():
         "message": "brute-force facet search limited to 2000 vertices, graph has 22500",
         "version": tr.__version__}, separators=(",", ":"))]
     assert int(peak) / 1024 < 32, f"peak RSS {int(peak) / 1024:.1f} MiB, over 32 MiB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_torus8_k7_brute_refused_under_128_mib():
+    # 64 points, far under the vertex limit, but the scale graph is the
+    # boundary of a 32-dimensional cross-polytope, with 2**32 maximal cliques.
+    run = source_cli(["facets", "--space", "torus", "--n", "8", "--k", "7",
+                      "--mode", "brute", "--no-timing"])
+    run["args"] = [sys.executable, "-S", "-c", PEAK_RSS, *run["args"]]
+    child = subprocess.run(**run, capture_output=True, text=True, timeout=60)
+    *error, peak = child.stderr.splitlines()
+    assert (child.returncode, child.stdout) == (3, "")
+    assert error == [json.dumps({
+        "error": "budget", "exit_code": 3, "kind": "error",
+        "message": "brute-force facet search limited to 1000000 maximal cliques",
+        "version": tr.__version__}, separators=(",", ":"))]
+    assert int(peak) / 1024 < 128, f"peak RSS {int(peak) / 1024:.1f} MiB, over 128 MiB"

@@ -277,6 +277,15 @@ class TestBruteForceFacets:
         with pytest.raises(BudgetError):
             tr.brute_force_facets(g)
 
+    def test_clique_budget(self, monkeypatch):
+        # Three isolated vertices are three maximal cliques.
+        g = tr.Graph.from_edges(3, [])
+        monkeypatch.setattr(facets_module, "BRUTE_FORCE_CLIQUE_BUDGET", 3)
+        assert len(tr.brute_force_facets(g)) == 3
+        monkeypatch.setattr(facets_module, "BRUTE_FORCE_CLIQUE_BUDGET", 2)
+        with pytest.raises(BudgetError, match="limited to 2 maximal cliques"):
+            tr.brute_force_facets(g)
+
     def test_repeated_clique_detected(self, monkeypatch):
         # The search reports each maximal clique once whatever the masks say,
         # so the guard is reached only through a fault: here the set of the

@@ -59,6 +59,13 @@ class TestBuildSpace:
             tr.build_space("window")
         with pytest.raises(ValueError):
             tr.build_space("sphere", n=3)
+        # The size of another kind would be ignored, so it is refused.
+        win = tr.Window(-2, 2, -2, 2)
+        with pytest.raises(ValueError, match="window space needs window bounds and takes no n"):
+            tr.build_space("window", n=5, window=win)
+        for kind in ("cycle", "torus"):
+            with pytest.raises(ValueError, match=f"{kind} space needs n and takes no window"):
+                tr.build_space(kind, n=5, window=win)
 
 
 class TestComputeProfile:
@@ -226,6 +233,14 @@ class TestGoldenTable:
             expected={2: 23}, source="test",
         )
         assert sparse.expected_betti() == (1, 0, 23)
+
+    @pytest.mark.parametrize("space, n, points", [("cycle", 5, 5), ("torus", 3, 9)])
+    def test_max_dim_below_the_point_count(self, space, n, points):
+        row = dict(space=space, n=n, k=1, coefficients="gf2", expected={}, source="test")
+        assert tr.GoldenRow(max_dim=points - 1, **row).expected_betti()[0] == 1
+        with pytest.raises(ValueError, match=f"max_dim {points} is not below the {points} "
+                                             f"points of {space} {n}"):
+            tr.GoldenRow(max_dim=points, skip=True, skip_reason="too deep", **row)
 
     def test_load_from_path(self, tmp_path):
         payload = {
