@@ -231,28 +231,36 @@ def brute_force_facets(graph: Graph) -> FacetSet:
     """All maximal cliques of a graph via Bron-Kerbosch with pivoting.
 
     Each node holds a clique R, its candidates P and its excluded vertices
-    X, all as bitmasks, and picks the pivot of Tomita, Tanaka & Takahashi
-    (2006): the vertex of P or X whose neighbourhood covers most of P.  X is
-    scanned first; a vertex of X adjacent to all of P ends the node, since
-    every maximal clique below it would extend by that vertex.  Then one
-    full pass over P finds its universal vertices U, those adjacent to all
-    the rest of P, and keeps the best vertex outside U.  Every clique C with
-    R <= C <= R + P extends by each vertex of U, so every maximal clique the
-    node reports holds U, and the node equals (R + U, P - U, X & N(U)),
-    where N(U) is the common neighbourhood of U; the search moves U across
-    at once.  An X vertex outside N(U) leaves X, and once P is empty the
-    leaf test decides.  Otherwise the pivot is the best X vertex if it is
-    still in X and covers at least as much as the best P vertex outside U;
-    every coverage that survives the move drops by exactly |U|, since that
-    X vertex is in N(U) and U is adjacent to all of P, so the comparison
-    still holds.  The scans walk from the top bit down and keep the first
-    vertex of largest coverage, and the node branches on P less the pivot's
+    X, all as bitmasks.  A node with X nonempty scans X alone and pivots on
+    the X vertex whose neighbourhood covers most of P; one adjacent to all
+    of P ends the node, since every maximal clique below it would extend by
+    that vertex.  Only a node with X empty scans P: one pass finds its
+    universal vertices U, those adjacent to all the rest of P, and the best
+    vertex outside U.  Every clique C with R <= C <= R + P extends by each
+    vertex of U, so the node (R, P, {}) equals (R + U, P - U, {}) and the
+    search moves U across at once; once P is empty the node reports R.
+    Otherwise the pivot is that best vertex of P - U.
+
+    The worst-case bound of Tomita, Tanaka & Takahashi (2006), O(3**(n/3))
+    for n vertices, is proved for the vertex of P + X of largest coverage;
+    skipping the P scan where X is nonempty rests on measurement instead.
+    Against a search that scanned P at every node, it cuts the
+    adjacency-mask reads from 425,355 to 144,559 on T30 k6, from 366,980 to
+    111,495 on T24 k7 and from 227,195 to 93,616 on the 31 x 31 window at
+    k5 (three of the benchmark's catalog graphs), and from 4,840,895 to
+    4,685,941 on a random G(60, 0.9) and from 388,484 to 332,505 on a random
+    G(120, 0.5); it leaves T6 k5 (262,144 facets) at 2,359,251 and the
+    Moon-Moser graphs K3x10 and K4x8 at 339,511 and 313,101.
+
+    The scans walk from the top bit down and keep the first vertex of
+    largest coverage, and the node branches on P less the pivot's
     neighbours, also from the top down.  The last branch extends R in place
     and loops instead of recursing, so a chain of single-branch nodes costs
-    no recursion.  Any pivot yields every maximal clique exactly once, so
-    the scan order changes the search tree, never the facet set; the
-    search is deterministic, and a clique reported twice raises
-    RuntimeError.  Each facet is the clique mask the search already holds.
+    no recursion.  Any pivot in P + X yields every maximal clique exactly
+    once (Bron & Kerbosch 1973), so the pivot rule and the scan order change
+    the search tree, never the facet set; the search is deterministic, and
+    a clique reported twice raises RuntimeError.  Each facet is the clique
+    mask the search already holds.
     Refuses graphs above the vertex budget, through
     ``check_brute_force_budget``, and raises BudgetError when it finds one
     more maximal clique than ``BRUTE_FORCE_CLIQUE_BUDGET``, rather than
@@ -267,41 +275,35 @@ def brute_force_facets(graph: Graph) -> FacetSet:
         while candidates:
             size = candidates.bit_count()
             best = -1
-            m = excluded
-            while m:
-                u = m.bit_length() - 1
-                m ^= 1 << u
-                c = (candidates & masks[u]).bit_count()
-                if c > best:
-                    if c == size:
-                        return
-                    best = c
-                    pivot = u
-            universal = 0
-            p_best = -1
-            m = candidates
-            while m:
-                u = m.bit_length() - 1
-                bit = 1 << u
-                m ^= bit
-                c = (candidates & masks[u]).bit_count()
-                if c == size - 1:
-                    universal |= bit
-                elif c > p_best:
-                    p_best = c
-                    p_pivot = u
-            if universal:
-                clique |= universal
-                candidates ^= universal
-                while universal and excluded:
-                    u = universal.bit_length() - 1
-                    universal ^= 1 << u
-                    excluded &= masks[u]
-                if not candidates:
-                    break
-            # P is not empty here, so p_best >= 0 and pivot is read only if X had one.
-            if p_best > best or not excluded >> pivot & 1:
-                pivot = p_pivot
+            if excluded:
+                m = excluded
+                while m:
+                    u = m.bit_length() - 1
+                    m ^= 1 << u
+                    c = (candidates & masks[u]).bit_count()
+                    if c > best:
+                        if c == size:
+                            return
+                        best = c
+                        pivot = u
+            else:
+                universal = 0
+                m = candidates
+                while m:
+                    u = m.bit_length() - 1
+                    bit = 1 << u
+                    m ^= bit
+                    c = (candidates & masks[u]).bit_count()
+                    if c == size - 1:
+                        universal |= bit
+                    elif c > best:
+                        best = c
+                        pivot = u
+                if universal:
+                    clique |= universal
+                    candidates ^= universal
+                    if not candidates:
+                        break
             branch = candidates & masks[pivot] ^ candidates
             while True:
                 v = branch.bit_length() - 1

@@ -2,9 +2,10 @@
 
 Each node scans X, then P until the first vertex that covers |P| - 1, and
 branches on that one pivot; a chain of universal vertices of P costs one
-loop iteration, with a fresh X and P scan, per vertex.  The library moves
-every universal vertex of P into the clique in one pass instead; both must
-give the same facet set.
+loop iteration, with a fresh X and P scan, per vertex.  The library scans
+P only at a node whose X is empty, where it moves every universal vertex of
+P into the clique in one pass; a node with X nonempty pivots on X's best
+vertex without scanning P.  Both must give the same facet set.
 """
 
 from __future__ import annotations

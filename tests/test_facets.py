@@ -255,6 +255,24 @@ def random_graphs(max_vertices=12, densities=(0.2, 0.5, 0.8, 0.95)):
     return graphs()
 
 
+def circulant_graphs(max_vertices=40):
+    """Circulant graphs: vertex i adjacent to i +- s mod n for each s of a drawn connection set.
+
+    The set holds at most n // 3 of the n // 2 steps: a circulant missing
+    only a step or two, such as the cocktail-party graph with 2**(n/2)
+    maximal cliques, passes the oracle's clique budget at n = 40.
+    """
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(min_value=3, max_value=max_vertices))
+        step = st.integers(min_value=1, max_value=n // 2)
+        steps = draw(st.sets(step, min_size=1, max_size=n // 3))
+        return tr.Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+    return graphs()
+
+
 class TestBruteForceFacets:
     def test_edgeless_graph(self):
         g = tr.Graph.from_edges(3, [])
@@ -304,8 +322,10 @@ class TestBruteForceFacets:
 
     def test_excluded_vertex_off_the_universal_set_leaves(self):
         # On the path 4 - 0 - 1 - 2 - 3 the edge (0, 1) is reached at the
-        # node R = {0}, P = {1}, X = {4}: 1 is universal in P and 4 is not
-        # adjacent to it, so 4 must leave X for the edge to be reported.
+        # node R = {0}, P = {1}, X = {4}.  X is nonempty, so the node pivots
+        # on 4 and branches on 1, whose neighbourhood drops 4 from X.  A
+        # search that moved the universal vertex 1 into R there and kept 4
+        # in X would lose the edge.
         g = tr.Graph.from_edges(5, [(4, 0), (0, 1), (1, 2), (2, 3)])
         assert oracle_set(g) == {(0, 4), (0, 1), (1, 2), (2, 3)}
 
@@ -325,6 +345,39 @@ class TestBruteForceFacets:
             if tr.is_maximal_clique(graph, mask_of(sigma))
         }
         assert set(tr.brute_force_facets(graph)) == want
+
+    @given(circulant_graphs())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_reference_on_circulant_graphs(self, graph):
+        assert tr.brute_force_facets(graph).facets == reference_facets(graph).facets
+
+
+class CountingMasks(tuple):
+    """Adjacency masks that count how often they are indexed."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+# The adjacency-mask reads of a search that scanned P at every node, and the
+# share of them the search may read now.  Scanning P only where X is empty
+# reads 144,559 on T30 k6 (34 %), 111,495 on T24 k7 (30 %), 93,616 on W31 k5
+# (41.2 %, so its share is 42 %) and 2,359,251 on T6 k5, whose search meets
+# no node with X nonempty.
+@pytest.mark.parametrize("space,k,scanning_p_reads,share", [
+    pytest.param(tr.torus_space(30), 6, 425_355, 0.4, id="T30 k6"),
+    pytest.param(tr.torus_space(24), 7, 366_980, 0.4, id="T24 k7"),
+    pytest.param(tr.window_space(tr.Window(-15, 15, -15, 15)), 5, 227_195, 0.42, id="W31 k5"),
+    pytest.param(tr.torus_space(6), 5, 2_359_251, 1.0, id="T6 k5"),
+])
+def test_adjacency_mask_reads(space, k, scanning_p_reads, share):
+    graph = tr.vr_graph(space, k)
+    masks = CountingMasks(graph.masks)
+    tr.brute_force_facets(tr.Graph(vertex_count=graph.vertex_count, masks=masks))
+    assert masks.reads <= share * scanning_p_reads
 
 
 # The benchmark's catalog graphs, then the acceptance tori and window scales.
